@@ -6,7 +6,7 @@ alternates posterior sampling under the diffusion prior (E-step) with
 multiplicative NMF updates of the noise model (M-step).
 """
 
-from .sde import SdeSchedule, KernelMoments, drift, diffusion_coeff, kernel_moments, perturb
+from .sde import SdeSchedule, KernelMoments, diffusion_coeff, kernel_moments, perturb
 from .signal import StftConfig, Waveform, stft, istft, mix_at_snr, load_wav, save_wav
 from .score import (
     AnalyticGaussianPrior,
@@ -26,7 +26,6 @@ from .metrics import MetricReport, si_sdr, evaluate_pair
 __all__ = [
     "SdeSchedule",
     "KernelMoments",
-    "drift",
     "diffusion_coeff",
     "kernel_moments",
     "perturb",

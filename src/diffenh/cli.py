@@ -1,7 +1,8 @@
 """Command-line surface: train, enhance, sample, validate-sde, benchmark.
 
 Exit codes: 0 success, 1 usage error, 2 validation/acceptance failure,
-3 I/O error.  A --config file of key=value lines is merged under the flags
+3 I/O error, 4 numeric failure (non-finite scores, noise factors or training
+loss).  A --config file of key=value lines is merged under the flags
 (explicit flags win).  Randomized commands print their seed in the report
 header so every run is reproducible.
 """
@@ -11,19 +12,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import metrics, noise_nmf, score, sde, signal
-from .em import EnhancementConfig, enhance_waveform
+from .em import EnhancementConfig, enhance_waveform, synth_clean_waveform
 from .sampler import SamplerConfig, unconditional_sample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 ODE_TOLERANCE = 1e-6
 
@@ -32,8 +35,8 @@ class _UsageError(Exception):
     pass
 
 
-class _IoError(Exception):
-    pass
+class _IoError(OSError):
+    """An unreadable or malformed input file; exits like any other OSError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,11 +183,8 @@ def build_parser() -> _Parser:
 
 
 def _config_tokens(path) -> list[str]:
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise _IoError(f"cannot read config file: {exc}") from exc
+    with open(path) as fh:
+        lines = fh.readlines()
     tokens = []
     for ln, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -243,8 +243,6 @@ def _schedule(args) -> sde.SdeSchedule:
 def _load_checkpoint(path):
     try:
         return score.load_checkpoint(path)
-    except FileNotFoundError as exc:
-        raise _IoError(str(exc)) from exc
     except ValueError as exc:
         raise _IoError(str(exc)) from exc
 
@@ -252,8 +250,6 @@ def _load_checkpoint(path):
 def _load_wav(path) -> signal.Waveform:
     try:
         w = signal.load_wav(path)
-    except FileNotFoundError as exc:
-        raise _IoError(str(exc)) from exc
     except ValueError as exc:
         raise _IoError(str(exc)) from exc
     if w.sample_rate != 16000:
@@ -294,11 +290,12 @@ def _enhancement_config(args) -> EnhancementConfig:
     )
 
 
-def _write_wav(path, wav: signal.Waveform):
-    try:
-        signal.save_wav(path, wav)
-    except OSError as exc:
-        raise _IoError(f"cannot write {path}: {exc}") from exc
+def _wav_files(directory) -> list[str]:
+    """Sorted paths of the .wav files in directory; none is an I/O error."""
+    names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".wav"))
+    if not names:
+        raise _IoError(f"{directory}: no WAV files found")
+    return [os.path.join(directory, n) for n in names]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +318,7 @@ def cmd_train(args) -> int:
         rng = np.random.default_rng(args.seed)
         dataset = [prior.sample((args.bins, args.frames), rng) for _ in range(args.items)]
     elif args.data:
-        dataset = _wav_dataset(args.data, stft_cfg)
+        dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
     else:
         raise _UsageError("train needs --data DIR or --synthetic gaussian")
     cfg = score.TrainConfig(
@@ -333,24 +330,9 @@ def cmd_train(args) -> int:
     model, history = score.train(model, dataset, cfg, sched)
     for epoch, loss in enumerate(history, 1):
         print(f"epoch {epoch}: loss {loss:.6f}")
-    try:
-        score.save_checkpoint(model, sched, args.out)
-    except OSError as exc:
-        raise _IoError(f"cannot write {args.out}: {exc}") from exc
+    score.save_checkpoint(model, sched, args.out)
     print(f"wrote {args.out} ({model.n_params} parameters, step {model.step})")
     return EXIT_OK
-
-
-def _wav_dataset(directory, stft_cfg) -> list[np.ndarray]:
-    import os
-
-    try:
-        names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".wav"))
-    except OSError as exc:
-        raise _IoError(f"cannot list {directory}: {exc}") from exc
-    if not names:
-        raise _IoError(f"{directory}: no WAV files found")
-    return [signal.stft(_load_wav(os.path.join(directory, n)), stft_cfg) for n in names]
 
 
 def cmd_enhance(args) -> int:
@@ -358,19 +340,20 @@ def cmd_enhance(args) -> int:
     model, ckpt_sched = _load_checkpoint(args.ckpt)
     sched = _resolve_schedule(args, ckpt_sched)
     noisy = _load_wav(args.input)
+    clean = _load_wav(args.clean) if args.clean else None
+    if clean is not None and len(clean) != len(noisy):
+        raise _UsageError(
+            f"length mismatch: --input has {len(noisy)} samples, --clean has {len(clean)}"
+        )
     cfg = _enhancement_config(args)
     enhanced = enhance_waveform(noisy, model, sched, _stft_config(args), cfg)
-    _write_wav(args.output, enhanced)
+    signal.save_wav(args.output, enhanced)
     print(f"wrote {args.output}")
-    if args.clean:
-        clean = _load_wav(args.clean)
+    if clean is not None:
         report = metrics.evaluate_pair(noisy, enhanced, clean)
         sys.stdout.write(report.as_lines())
         if args.report:
-            try:
-                metrics.write_report(args.report, report.as_dict())
-            except OSError as exc:
-                raise _IoError(f"cannot write {args.report}: {exc}") from exc
+            metrics.write_report(args.report, report.as_dict())
     return EXIT_OK
 
 
@@ -385,10 +368,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     spec = unconditional_sample((bins, args.frames), model, sched, cfg, rng)
     if args.dump_spec:
-        try:
-            signal.dump_spectrogram(args.dump_spec, spec)
-        except OSError as exc:
-            raise _IoError(f"cannot write {args.dump_spec}: {exc}") from exc
+        signal.dump_spectrogram(args.dump_spec, spec)
         print(f"wrote {args.dump_spec}")
     if args.output:
         if bins != stft_cfg.f_bins:
@@ -396,7 +376,7 @@ def cmd_sample(args) -> int:
                 f"cannot synthesize audio from {bins} bins with window_len {stft_cfg.window_len}"
             )
         out_len = (args.frames - 1) * stft_cfg.hop
-        _write_wav(args.output, signal.istft(spec, stft_cfg, out_len))
+        signal.save_wav(args.output, signal.istft(spec, stft_cfg, out_len))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -417,40 +397,18 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
     rng = np.random.default_rng(args.seed)
     if args.synthetic:
         scfg = SamplerConfig(n_steps=args.reverse_steps)
-        bins = stft_cfg.f_bins
-        out_len = (args.frames - 1) * stft_cfg.hop
         pairs = []
         for i in range(args.utterances):
-            spec = unconditional_sample((bins, args.frames), model, sched, scfg, rng)
-            clean = signal.istft(spec, stft_cfg, out_len)
-            # synthesis projects the spectrogram onto its overlap-add
-            # consistent subspace, shrinking per-entry variance below the
-            # unit scale the prior was trained at; rescale so analysis of the
-            # clean waveform matches the prior again
-            var = float(np.mean(np.abs(signal.stft(clean, stft_cfg)) ** 2))
-            clean = signal.Waveform(
-                clean.samples * var ** (-0.5 / stft_cfg.compress_alpha), clean.sample_rate
-            )
+            clean = synth_clean_waveform(args.frames, model, sched, stft_cfg, scfg, rng)
             noise = signal.Waveform(
-                noise_nmf.synth_noise_waveform(out_len, args.nmf_rank, rng), clean.sample_rate
+                noise_nmf.synth_noise_waveform(len(clean), args.nmf_rank, rng), clean.sample_rate
             )
             pairs.append((f"synthetic-{i:03d}", clean, noise))
         return pairs
     if not args.clean_dir or not args.noise_dir:
         raise _UsageError("benchmark needs --synthetic or both --clean-dir and --noise-dir")
-    import os
-
-    def _list(directory):
-        try:
-            names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".wav"))
-        except OSError as exc:
-            raise _IoError(f"cannot list {directory}: {exc}") from exc
-        if not names:
-            raise _IoError(f"{directory}: no WAV files found")
-        return [os.path.join(directory, n) for n in names]
-
-    cleans = _list(args.clean_dir)
-    noises = _list(args.noise_dir)
+    cleans = _wav_files(args.clean_dir)
+    noises = _wav_files(args.noise_dir)
     return [
         (os.path.basename(c), _load_wav(c), _load_wav(noises[i % len(noises)]))
         for i, c in enumerate(cleans)
@@ -493,10 +451,7 @@ def cmd_benchmark(args) -> int:
           f"+/- {agg['si_sdr_halfwidth_db']:.2f} dB, delta {agg['delta_mean_db']:+.2f} "
           f"+/- {agg['delta_halfwidth_db']:.2f} dB")
     if args.report:
-        try:
-            metrics.write_report(args.report, payload)
-        except OSError as exc:
-            raise _IoError(f"cannot write {args.report}: {exc}") from exc
+        metrics.write_report(args.report, payload)
     return EXIT_OK
 
 
@@ -514,9 +469,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except _IoError as exc:
+    except OSError as exc:
+        # the messages of OSError and _IoError name the offending path
         print(f"diffenh: error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except FloatingPointError as exc:
+        print(f"diffenh: error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         # invariant violations from typed configs surface as usage errors
         print(f"diffenh: error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise_nmf import NmfParams, init_nmf, is_objective, m_step
-from .sampler import SamplerConfig, posterior_sample
+from .sampler import SamplerConfig, posterior_sample, unconditional_sample
 from .sde import SdeSchedule
 from .signal import StftConfig, Waveform, istft, stft
 
@@ -110,3 +110,25 @@ def enhance_waveform(
     x = stft(noisy, stft_cfg)
     result = enhance_spectrogram(x, model, sched, cfg)
     return istft(result.s_hat, stft_cfg, len(noisy), sample_rate=noisy.sample_rate)
+
+
+def synth_clean_waveform(
+    frames: int,
+    model,
+    sched: SdeSchedule,
+    stft_cfg: StftConfig,
+    sampler_cfg: SamplerConfig,
+    rng: np.random.Generator,
+) -> Waveform:
+    """A clean utterance of (frames - 1) * hop samples drawn from the prior.
+
+    Synthesis projects the sampled spectrogram onto its overlap-add
+    consistent subspace, shrinking per-entry variance below the unit scale
+    the prior was trained at; the waveform is rescaled so that its analysis
+    has unit mean power again and matches the prior.
+    """
+    out_len = (frames - 1) * stft_cfg.hop
+    spec = unconditional_sample((stft_cfg.f_bins, frames), model, sched, sampler_cfg, rng)
+    raw = istft(spec, stft_cfg, out_len)
+    var = float(np.mean(np.abs(stft(raw, stft_cfg)) ** 2))
+    return Waveform(raw.samples * var ** (-0.5 / stft_cfg.compress_alpha), raw.sample_rate)

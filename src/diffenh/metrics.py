@@ -13,20 +13,16 @@ from .signal import Waveform
 SI_SDR_CAP = 140.0
 
 
-def si_sdr(estimate: Waveform, reference: Waveform, zero_mean: bool = False) -> float:
+def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     """Project the estimate onto the reference, then 10 log10 of the power ratio.
 
     Scale-invariant by construction.  Returns the +140 dB cap when the
-    residual is numerically zero.  zero_mean subtracts the sample means first;
-    off by default.
+    residual is numerically zero.
     """
     est = estimate.samples
     ref = reference.samples
     if len(est) != len(ref):
         raise ValueError(f"length mismatch: {len(est)} vs {len(ref)}")
-    if zero_mean:
-        est = est - est.mean()
-        ref = ref - ref.mean()
     ref_pow = float(np.dot(ref, ref))
     if ref_pow == 0.0:
         raise ValueError("si_sdr: zero reference")

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import complex_randn
-
 EPS_NMF = 1e-10
 
 
@@ -87,29 +85,21 @@ def m_step(x: np.ndarray, s_hat: np.ndarray, params: NmfParams, n_updates: int =
     return params
 
 
-def synth_noise_waveform(
-    n_samples: int,
-    rank: int,
-    rng: np.random.Generator,
-    width: float = 0.03,
-    gate_p: float = 0.55,
-    amp_sigma: float = 0.4,
-    block: int = 128,
-    floor: float = 0.08,
-) -> np.ndarray:
+def synth_noise_waveform(n_samples: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Time-domain noise whose spectrogram power factorizes at the given rank.
 
-    rank - 1 components are narrowband (Gaussian bump of the given width in
-    normalized frequency) gated on and off in blocks with lognormal
-    amplitudes; the last component is a broadband floor.  Building the signal
-    in the time domain keeps the structure intact under any STFT analysis;
-    drawing independent spectrogram entries and synthesizing them instead
-    would largely cancel in overlap-add and come out nearly flat.
+    rank - 1 components are narrowband (a Gaussian bump in normalized
+    frequency) gated on and off in blocks with lognormal amplitudes; the last
+    component is a broadband floor.  Building the signal in the time domain
+    keeps the structure intact under any STFT analysis; drawing independent
+    spectrogram entries and synthesizing them instead would largely cancel in
+    overlap-add and come out nearly flat.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    width, gate_p, amp_sigma, block, floor = 0.03, 0.55, 0.4, 128, 0.08
     out = floor * rng.standard_normal(n_samples)
     n_tones = rank - 1
     if n_tones == 0:
@@ -126,8 +116,3 @@ def synth_noise_waveform(
     gates = np.where(rng.random((n_tones, n_blocks)) < gate_p, amps, 0.0)
     env = np.repeat(gates, block, axis=1)[:, :n_samples]
     return out + np.sum(comp * env, axis=0)
-
-
-def draw_noise(params: NmfParams, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian grid with per-entry variance W @ H."""
-    return np.sqrt(params.variance()) * complex_randn((params.W.shape[0], params.H.shape[1]), rng)

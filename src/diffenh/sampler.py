@@ -1,7 +1,7 @@
 """Predictor-corrector reverse sampling, optionally guided toward a mixture.
 
-The reverse loop walks a rescaled time grid tau_i = t_min + (i/N)(1 - t_min)
-from i = N down to 1.  Each iteration runs an annealed Langevin corrector and
+The reverse loop walks a rescaled time grid tau_i = t_min + (i/N)(1 - t_min),
+with t_min from the schedule, from i = N down to 1.  Each iteration runs an annealed Langevin corrector and
 an Euler-Maruyama predictor; every posterior_every-th iteration additionally
 applies a data-consistency update built from the pseudo-likelihood score.
 
@@ -38,8 +38,6 @@ class SamplerConfig:
     n_steps: int = 30
     posterior_every: int = 2
     guidance_weight: float = 1.5
-    t_min: float | None = None  # None: take the schedule's t_min
-    corrector_enabled: bool = True
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -63,8 +61,7 @@ class GuidanceContext:
             raise ValueError("v_phi must be nonnegative")
 
 
-def _checked_score(model, s, tau):
-    score = model.evaluate(s, tau)
+def _check_finite(score: np.ndarray, tau: float) -> np.ndarray:
     if not np.all(np.isfinite(score)):
         raise FloatingPointError(f"non-finite score at tau={tau:.4f}")
     return score
@@ -85,50 +82,45 @@ def pseudo_likelihood_score(
     return (ctx.x - s / mom.delta) / (denom * mom.delta)
 
 
-class _GuidedModel:
-    """Score model shifted by the weighted likelihood score; the corrector
-    targets the guided density on posterior iterations."""
-
-    def __init__(self, model, ctx, weight, sched):
-        self.model = model
-        self.ctx = ctx
-        self.weight = weight
-        self.sched = sched
-
-    def evaluate(self, s, tau):
-        base = self.model.evaluate(s, tau)
-        return base + self.weight * pseudo_likelihood_score(s, tau, self.ctx, self.sched)
-
-
 def corrector_step(
-    s: np.ndarray, tau: float, model, sched: SdeSchedule, rng: np.random.Generator
+    s: np.ndarray,
+    tau: float,
+    model,
+    sched: SdeSchedule,
+    rng: np.random.Generator,
+    ctx: GuidanceContext | None = None,
+    weight: float = 0.0,
 ) -> np.ndarray:
-    """One annealed Langevin step with step size (sigma(tau)/2)^2."""
+    """One annealed Langevin step with step size (sigma(tau)/2)^2.
+
+    With ctx given the step follows the guided score, the prior score plus
+    weight times the pseudo-likelihood score, so it targets the posterior.
+    """
     eps = (math.sqrt(kernel_moments(tau, sched).var) / 2.0) ** 2
-    score = _checked_score(model, s, tau)
+    score = model.evaluate(s, tau)
+    if ctx is not None:
+        score = score + weight * pseudo_likelihood_score(s, tau, ctx, sched)
+    _check_finite(score, tau)
     return s + eps * score + math.sqrt(2.0 * eps) * complex_randn(s.shape, rng)
 
 
 def predictor_step(
     s: np.ndarray, tau: float, dtau: float, model, sched: SdeSchedule, rng: np.random.Generator
 ) -> np.ndarray:
-    """One Euler-Maruyama step of the reverse SDE (drift -gamma*s substituted)."""
+    """One Euler-Maruyama step of the reverse SDE.
+
+    The forward drift is -gamma*s, so the reverse step adds gamma*s*dtau.
+    """
     g = diffusion_coeff(tau, sched)
-    score = _checked_score(model, s, tau)
+    score = _check_finite(model.evaluate(s, tau), tau)
     noise = g * math.sqrt(dtau) * complex_randn(s.shape, rng)
     return s + sched.gamma * s * dtau + g**2 * score * dtau + noise
-
-
-def _tau_grid(sched: SdeSchedule, cfg: SamplerConfig):
-    t_min = sched.t_min if cfg.t_min is None else cfg.t_min
-    dtau = (1.0 - t_min) / cfg.n_steps
-    return t_min, dtau
 
 
 def _denoise(s: np.ndarray, model, sched: SdeSchedule, t: float) -> np.ndarray:
     # conditional-mean readout: remove the residual kernel noise at t
     mom = kernel_moments(t, sched)
-    return (s + mom.var * _checked_score(model, s, t)) / mom.delta
+    return (s + mom.var * _check_finite(model.evaluate(s, t), t)) / mom.delta
 
 
 def _pc_loop(
@@ -139,14 +131,13 @@ def _pc_loop(
     ctx: GuidanceContext | None,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    t_min, dtau = _tau_grid(sched, cfg)
+    t_min = sched.t_min
+    dtau = (1.0 - t_min) / cfg.n_steps
     lam = cfg.guidance_weight
-    guided_model = _GuidedModel(model, ctx, lam, sched) if ctx is not None else None
     for i in range(cfg.n_steps, 0, -1):
         tau = t_min + (i / cfg.n_steps) * (1.0 - t_min)
         guided = ctx is not None and i % cfg.posterior_every == 0
-        if cfg.corrector_enabled:
-            s = corrector_step(s, tau, guided_model if guided else model, sched, rng)
+        s = corrector_step(s, tau, model, sched, rng, ctx if guided else None, lam)
         s = predictor_step(s, tau, dtau, model, sched, rng)
         if guided:
             step = lam * diffusion_coeff(tau, sched) ** 2 * (cfg.posterior_every * dtau)

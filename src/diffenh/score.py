@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class AnalyticGaussianPrior(ScoreModel):
     def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
         mu, var = self.marginal(t)
         if np.any(var <= 0):
-            raise ValueError("gaussian_score: zero total variance (t=0 with var0=0)")
+            raise ValueError("AnalyticGaussianPrior: zero total variance (t=0 with var0=0)")
         return (mu - s_t) / var
 
     def log_density(self, s_t: np.ndarray, t: float) -> float:
@@ -75,10 +75,6 @@ class AnalyticGaussianPrior(ScoreModel):
     def sample(self, shape, rng: np.random.Generator) -> np.ndarray:
         mu = np.broadcast_to(self.mean, shape)
         return mu + np.sqrt(np.asarray(self.var0)) * complex_randn(shape, rng)
-
-
-def gaussian_score(s_t: np.ndarray, t: float, prior: AnalyticGaussianPrior) -> np.ndarray:
-    return prior.evaluate(s_t, t)
 
 
 @dataclass
@@ -94,7 +90,7 @@ class GmmPrior(ScoreModel):
 
     def __post_init__(self):
         if not self.components:
-            raise ValueError("gmm_score: empty component list")
+            raise ValueError("GmmPrior: empty component list")
         w = np.array([c[0] for c in self.components], dtype=np.float64)
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"component weights must be positive and sum to 1, got {w}")
@@ -135,10 +131,6 @@ class GmmPrior(ScoreModel):
         k = rng.choice(len(self.components), p=w)
         _, mu, var = self.components[k]
         return np.broadcast_to(mu, shape) + math.sqrt(var) * complex_randn(shape, rng)
-
-
-def gmm_score(s_t: np.ndarray, t: float, components: list, sched: SdeSchedule) -> np.ndarray:
-    return GmmPrior(components, sched).evaluate(s_t, t)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +329,7 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
     """Adam on the denoising objective with an EMA of the weights.
 
     Mutates and returns the model; returns (model, per-epoch mean losses).
-    Aborts if the loss goes non-finite.
+    Raises FloatingPointError if the loss goes non-finite.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
@@ -357,7 +349,7 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
             batch = make_train_batch(dataset, cfg.batch_size, cfg.patch_frames, sched, rng)
             loss, grads = dsm_loss_and_grad(model, batch, sched)
             if not math.isfinite(loss):
-                raise RuntimeError(f"training diverged at step {model.step}: loss={loss}")
+                raise FloatingPointError(f"training diverged at step {model.step}: loss={loss}")
             acc += loss
             done += 1
             if cfg.lr_decay == "cosine":

@@ -10,7 +10,7 @@ numerical solution of the variance ODE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class KernelMoments:
 def _check_time(t: float):
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"process time must lie in [0, 1], got {t}")
-
-
-def drift(s_t: np.ndarray, sched: SdeSchedule) -> np.ndarray:
-    """Drift term -gamma * s_t, elementwise."""
-    if not np.all(np.isfinite(s_t)):
-        raise ValueError("drift: non-finite input state")
-    return -sched.gamma * s_t
 
 
 def diffusion_coeff(t: float, sched: SdeSchedule) -> float:

@@ -43,22 +43,20 @@ class Waveform:
 class StftConfig:
     """Analysis/synthesis parameters.
 
-    The FFT length equals window_len (no zero padding), so window_len=510
-    gives F = 510//2 + 1 = 256 bins.  compress_alpha in (0, 1] and
-    compress_beta > 0 control the amplitude compression.
+    The window is a periodic Hann of window_len samples and the FFT length
+    equals it (no zero padding), so window_len=510 gives F = 510//2 + 1 = 256
+    bins.  compress_alpha in (0, 1] and compress_beta > 0 control the
+    amplitude compression.
     """
 
     window_len: int = 510
     hop: int = 128
-    window: str = "hann"
     compress_alpha: float = 0.5
     compress_beta: float = 0.15
 
     def __post_init__(self):
         if not 0 < self.hop <= self.window_len:
             raise ValueError(f"need 0 < hop <= window_len, got {self.hop}, {self.window_len}")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
         if not 0 < self.compress_alpha <= 1:
             raise ValueError(f"compress_alpha must lie in (0, 1], got {self.compress_alpha}")
         if self.compress_beta <= 0:
@@ -189,14 +187,9 @@ def load_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def save_wav(path, w: Waveform, pcm16: bool = False):
-    """Write a mono WAV, clipping to [-1, 1].  float32 by default."""
-    clipped = np.clip(w.samples, -1.0, 1.0)
-    if pcm16:
-        data = np.round(clipped * 32767.0).astype(np.int16)
-    else:
-        data = clipped.astype(np.float32)
-    wavfile.write(path, w.sample_rate, data)
+def save_wav(path, w: Waveform):
+    """Write a mono float32 WAV, clipping to [-1, 1]."""
+    wavfile.write(path, w.sample_rate, np.clip(w.samples, -1.0, 1.0).astype(np.float32))
 
 
 def dump_spectrogram(path, spec: np.ndarray):

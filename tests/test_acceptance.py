@@ -269,20 +269,13 @@ def test_end_to_end_enhancement_gains_3db(sched, trained, record_acceptance):
     model, _, _ = trained
     t0 = SEC()
     toy = signal.StftConfig(window_len=64, hop=16, compress_alpha=1.0, compress_beta=1.0)
-    frames = 80
-    out_len = toy.hop * (frames - 1)
     samp_cfg = sampler.SamplerConfig()
     deltas = []
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
-        spec = sampler.unconditional_sample((toy.f_bins, frames), model, sched, samp_cfg, rng)
-        raw = signal.istft(spec, toy, out_len)
-        # synthesis projects onto the overlap-add consistent subspace and
-        # shrinks spectral power; rescale so analysis matches the prior again
-        var = float(np.mean(np.abs(signal.stft(raw, toy)) ** 2))
-        clean = signal.Waveform(raw.samples * var**-0.5, raw.sample_rate)
+        clean = em.synth_clean_waveform(80, model, sched, toy, samp_cfg, rng)
         noise = signal.Waveform(
-            noise_nmf.synth_noise_waveform(out_len, 4, rng), clean.sample_rate
+            noise_nmf.synth_noise_waveform(len(clean), 4, rng), clean.sample_rate
         )
         noisy, _ = signal.mix_at_snr(clean, noise, 0.0, seed=i)
         enhanced = em.enhance_waveform(noisy, model, sched, toy, em.EnhancementConfig(seed=i))

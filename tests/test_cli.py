@@ -251,3 +251,86 @@ def test_benchmark_wav_dirs(tiny_ckpt, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "aggregate over 4:" in out
     assert "c0.wav@+0dB" in out and "c1.wav@+5dB" in out
+
+
+_FAST_SAMPLE = "--frames 8 --reverse-steps 2 --window-len 64 --hop 16"
+_FAST_TRAIN = ("--synthetic gaussian --items 1 --bins 4 --frames 8 --patch-frames 8 "
+               "--hidden 4 --epochs 1 --steps-per-epoch 1")
+_FAST = " ".join(FAST_ENHANCE)
+
+# (id, argv, offending path); {gone} is a directory that does not exist
+IO_CASES = [
+    ("missing --config", "validate-sde --config {gone}/run.cfg", "{gone}/run.cfg"),
+    ("missing --ckpt", "sample --ckpt {gone}/c.bin --output {tmp}/o.wav", "{gone}/c.bin"),
+    ("missing --input", "enhance --input {gone}/n.wav --ckpt {ckpt} --output {tmp}/o.wav "
+     + _FAST, "{gone}/n.wav"),
+    ("unwritable enhance --output", "enhance --input {noisy} --ckpt {ckpt} "
+     "--output {gone}/o.wav " + _FAST, "{gone}/o.wav"),
+    ("unwritable sample --output", "sample --ckpt {ckpt} --output {gone}/s.wav " + _FAST_SAMPLE,
+     "{gone}/s.wav"),
+    ("unwritable enhance --report", "enhance --input {noisy} --ckpt {ckpt} --output {tmp}/o.wav "
+     "--clean {clean} --report {gone}/r.json " + _FAST, "{gone}/r.json"),
+    ("unwritable benchmark --report", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
+     "--frames 16 --snrs 0 --report {gone}/b.json " + _FAST, "{gone}/b.json"),
+    ("unwritable --dump-spec", "sample --ckpt {ckpt} --dump-spec {gone}/s.spec " + _FAST_SAMPLE,
+     "{gone}/s.spec"),
+    ("unwritable train --out", "train --out {gone}/t.bin " + _FAST_TRAIN, "{gone}/t.bin"),
+    ("unlistable --data", "train --data {gone} --out {tmp}/t.bin", "{gone}"),
+    ("unlistable --clean-dir", "benchmark --ckpt {ckpt} --clean-dir {gone} --noise-dir {tmp} "
+     + _FAST, "{gone}"),
+]
+
+
+@pytest.mark.parametrize("argv,offending", [c[1:] for c in IO_CASES], ids=[c[0] for c in IO_CASES])
+def test_os_errors_exit_io_and_name_the_path(argv, offending, tiny_ckpt, tmp_path, capsys):
+    noisy_path, clean_path = _write_noisy(tmp_path)
+    paths = {"tmp": tmp_path, "gone": tmp_path / "gone", "ckpt": tiny_ckpt,
+             "noisy": noisy_path, "clean": clean_path}
+    assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_IO
+    assert offending.format(**paths) in capsys.readouterr().err
+
+
+def test_enhance_checks_reference_length_before_enhancing(tiny_ckpt, tmp_path, capsys):
+    noisy_path, _ = _write_noisy(tmp_path, n=2000)
+    (tmp_path / "short").mkdir()
+    _, short_clean = _write_noisy(tmp_path / "short", n=1000)
+    out_path = tmp_path / "o.wav"
+    rc = cli.main(
+        ["enhance", "--input", str(noisy_path), "--ckpt", str(tiny_ckpt),
+         "--output", str(out_path), "--clean", str(short_clean), *FAST_ENHANCE]
+    )
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "length mismatch" in captured.err
+    assert "wrote" not in captured.out
+    assert not out_path.exists()
+
+
+def test_enhance_with_nonfinite_checkpoint_is_numeric_error(tiny_ckpt, tmp_path, capsys):
+    from diffenh import score
+
+    model, sched = score.load_checkpoint(tiny_ckpt)
+    model.ema_params = [(np.full_like(W, np.inf), b) for W, b in model.ema_params]
+    bad = tmp_path / "inf.bin"
+    score.save_checkpoint(model, sched, bad)
+    noisy_path, _ = _write_noisy(tmp_path)
+    out_path = tmp_path / "o.wav"
+    rc = cli.main(
+        ["enhance", "--input", str(noisy_path), "--ckpt", str(bad),
+         "--output", str(out_path), *FAST_ENHANCE]
+    )
+    assert rc == cli.EXIT_NUMERIC
+    assert "non-finite score" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_training_divergence_is_numeric_error(tmp_path, capsys):
+    # a step this large overflows the float32 weights, so the next loss is nan
+    rc = cli.main(
+        ["train", "--synthetic", "gaussian", "--items", "1", "--bins", "4", "--frames", "8",
+         "--patch-frames", "8", "--hidden", "4", "--epochs", "1", "--steps-per-epoch", "3",
+         "--lr", "1e39", "--out", str(tmp_path / "t.bin")]
+    )
+    assert rc == cli.EXIT_NUMERIC
+    assert "training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "t.bin").exists()

@@ -5,7 +5,6 @@ from diffenh import noise_nmf
 from diffenh.noise_nmf import (
     EPS_NMF,
     NmfParams,
-    draw_noise,
     init_nmf,
     is_objective,
     m_step,
@@ -116,15 +115,6 @@ def test_m_step_zero_residual_drives_variance_down():
     p = init_nmf(5, 6, 2, 1.0, seed=0)
     q = m_step(x, x, p, n_updates=200)
     assert np.mean(q.variance()) < 1e-6
-
-
-def test_draw_noise_matches_variance():
-    p = init_nmf(4, 5, 2, 3.0, seed=9)
-    rng = np.random.default_rng(10)
-    draws = np.stack([draw_noise(p, rng) for _ in range(4000)])
-    emp = np.mean(np.abs(draws) ** 2, axis=0)
-    assert np.allclose(emp, p.variance(), rtol=0.15)
-    assert abs(draws.mean()) < 0.05
 
 
 def test_synth_noise_waveform_contract():

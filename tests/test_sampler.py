@@ -85,11 +85,15 @@ def test_corrector_preserves_gaussian_marginal():
     assert np.mean(np.abs(s - mu) ** 2) == pytest.approx(var, rel=0.05)
 
 
-def test_predictor_zero_score_zero_gamma_is_identity():
-    sched = sde.SdeSchedule(gamma=0.0)
-    s = np.array([0.7 - 0.3j])
-    out = predictor_step(s, 0.8, 1.0 / 30, ZeroScore(), sched, ZeroRng())
-    assert np.array_equal(out, s)
+@pytest.mark.parametrize("gamma", [0.0, 1.5])
+def test_predictor_zero_score_zero_gamma_is_identity(gamma):
+    # with the score and noise silenced only the reverse of the drift -gamma*s
+    # remains, so the step is s + gamma*s*dtau (the identity at gamma = 0)
+    sched = sde.SdeSchedule(gamma=gamma)
+    s = np.array([0.7 - 0.3j, 1.0 + 2.0j, -0.5j])
+    dtau = 1.0 / 30
+    out = predictor_step(s, 0.8, dtau, ZeroScore(), sched, ZeroRng())
+    assert np.array_equal(out, s + gamma * s * dtau)
 
 
 def test_predictor_moves_toward_perturbed_mean():

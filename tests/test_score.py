@@ -9,8 +9,6 @@ from diffenh.score import (
     ToyScoreNet,
     dsm_loss,
     dsm_loss_and_grad,
-    gaussian_score,
-    gmm_score,
     load_checkpoint,
     make_train_batch,
     save_checkpoint,
@@ -48,12 +46,6 @@ def test_gaussian_score_matches_finite_differences():
         assert np.linalg.norm(exact - approx) / np.linalg.norm(approx) < 1e-5
 
 
-def test_gaussian_score_helper_alias():
-    prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
-    s = np.array([[0.2 + 0.1j]])
-    assert np.array_equal(gaussian_score(s, 0.5, prior), prior.evaluate(s, 0.5))
-
-
 def test_gaussian_prior_rejects_negative_variance():
     with pytest.raises(ValueError):
         AnalyticGaussianPrior(mean=0j, var0=-1.0, sched=SCHED)
@@ -68,7 +60,6 @@ def test_gmm_score_matches_finite_differences():
         exact = prior.evaluate(s, t)
         approx = fd_score(prior.log_density, s, t)
         assert np.linalg.norm(exact - approx) / np.linalg.norm(approx) < 1e-5
-    assert np.array_equal(gmm_score(s, 0.5, comps, SCHED), prior.evaluate(s, 0.5))
 
 
 def test_gmm_validation():

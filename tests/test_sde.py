@@ -34,12 +34,6 @@ def test_schedule_allows_zero_gamma():
     assert sde.kernel_moments(0.7, s).delta == 1.0
 
 
-def test_drift_is_linear_decay():
-    s = sde.SdeSchedule()
-    grid = np.array([1.0 + 2.0j, -0.5j])
-    assert np.allclose(sde.drift(grid, s), -1.5 * grid)
-
-
 def test_diffusion_coeff_endpoints():
     s = sde.SdeSchedule()
     scale = math.sqrt(2.0 * math.log(s.sigma_max / s.sigma_min))
