@@ -290,6 +290,18 @@ def _enhancement_config(args) -> EnhancementConfig:
     )
 
 
+def _check_nmf_rank(rank: int, n_samples: int, what: str, stft_cfg: signal.StftConfig):
+    """The noise factors cannot have more components than the grid has
+    frames or bins; say so before any work is done."""
+    frames = signal.n_frames(n_samples, stft_cfg)
+    if rank > min(frames, stft_cfg.f_bins):
+        raise _UsageError(
+            f"--nmf-rank {rank} is too large for {what}: its {n_samples} samples give "
+            f"{frames} STFT frame(s) x {stft_cfg.f_bins} bins, and the rank may not exceed "
+            f"either; lower --nmf-rank or use a longer input"
+        )
+
+
 def _wav_files(directory) -> list[str]:
     """Sorted paths of the .wav files in directory; none is an I/O error."""
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".wav"))
@@ -345,8 +357,9 @@ def cmd_enhance(args) -> int:
         raise _UsageError(
             f"length mismatch: --input has {len(noisy)} samples, --clean has {len(clean)}"
         )
-    cfg = _enhancement_config(args)
-    enhanced = enhance_waveform(noisy, model, sched, _stft_config(args), cfg)
+    stft_cfg = _stft_config(args)
+    _check_nmf_rank(args.nmf_rank, len(noisy), "--input", stft_cfg)
+    enhanced = enhance_waveform(noisy, model, sched, stft_cfg, _enhancement_config(args))
     signal.save_wav(args.output, enhanced)
     print(f"wrote {args.output}")
     if clean is not None:
@@ -426,6 +439,7 @@ def cmd_benchmark(args) -> int:
     pairs = _benchmark_pairs(args, model, sched, stft_cfg)
     tasks = []
     for label, clean, noise in pairs:
+        _check_nmf_rank(args.nmf_rank, len(clean), label, stft_cfg)
         for snr in snrs:
             tasks.append((len(tasks), f"{label}@{snr:+.0f}dB", clean, noise, snr))
 

@@ -5,10 +5,20 @@ noise variances, averages them elementwise into the clean estimate, then
 refits the NMF noise model to the residual power.  Chain seeds come from a
 counter-based split of the master seed so results do not depend on execution
 order.
+
+The chains of an E-step run concurrently on one process-wide thread pool with
+one worker per usable CPU (numpy releases the interpreter lock in its
+kernels).  Every caller shares that pool, so concurrent enhancements, such as
+`diffenh benchmark --jobs`, queue their chains on it instead of adding
+threads.  Results are collected in chain order, so the output is bit-identical
+to running the chains one after another.  A chain must not itself submit work
+to the pool: with every worker waiting on queued work, it would deadlock.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +27,27 @@ from .noise_nmf import NmfParams, init_nmf, is_objective, m_step
 from .sampler import SamplerConfig, posterior_sample, unconditional_sample
 from .sde import SdeSchedule
 from .signal import StftConfig, Waveform, istft, stft
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_chain_pool():
+    """Create the shared chain pool; its threads start on first use, not here.
+
+    A forked child gets a new pool: the parent's worker threads do not exist
+    in it, and chains queued on the inherited pool would never run.
+    """
+    global _CHAIN_POOL
+    _CHAIN_POOL = ThreadPoolExecutor(max_workers=_usable_cpus(), thread_name_prefix="diffenh-chain")
+
+
+_start_chain_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_chain_pool)
 
 
 @dataclass(frozen=True)
@@ -59,6 +90,31 @@ class EnhancementResult:
     trace: list  # one dict per EM iteration
 
 
+def _chain(x, model, sched, scfg, v_phi, seed):
+    # posterior_sample is looked up here, at call time, so a rebinding of
+    # this module's name (tracing) reaches the pool threads too
+    return posterior_sample(x, model, sched, scfg, v_phi, np.random.default_rng(seed))
+
+
+def _run_chains(x, model, sched, scfg, v_phi, seeds) -> list:
+    """One posterior chain per seed on the shared pool, results in seed order.
+
+    If a chain raises, the chains not yet started are cancelled, the running
+    ones are waited for, and the first failure in chain order is re-raised.
+    """
+    futures = [_CHAIN_POOL.submit(_chain, x, model, sched, scfg, v_phi, seed) for seed in seeds]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        for f in futures:
+            f.cancel()  # no-op for chains that ran or are running
+    wait(futures)
+    for f in futures:
+        if not f.cancelled() and f.exception() is not None:
+            raise f.exception()
+    return [f.result() for f in futures]
+
+
 def enhance_spectrogram(
     x: np.ndarray,
     model,
@@ -71,8 +127,15 @@ def enhance_spectrogram(
     With v_phi_override set, the noise variance is held fixed at the given
     grid and the M-step is skipped (used by the conjugate-posterior oracle
     tests and for known-noise experiments).
+
+    An all-zero mixture holds neither speech nor noise to fit: the estimate
+    is all zeros, the noise factors sit at their floor and no iteration runs
+    (the trace is empty).
     """
     f_bins, t_frames = x.shape
+    if not np.any(x):
+        floor = NmfParams(W=np.zeros((f_bins, cfg.nmf_rank)), H=np.zeros((cfg.nmf_rank, t_frames)))
+        return EnhancementResult(s_hat=np.zeros(x.shape, dtype=np.complex128), nmf=floor, trace=[])
     scfg = cfg.sampler_config()
     params = init_nmf(
         f_bins, t_frames, cfg.nmf_rank, float(np.mean(np.abs(x) ** 2)), seed=cfg.seed
@@ -86,10 +149,8 @@ def enhance_spectrogram(
     s_hat = None
     for k in range(cfg.em_iters):
         v_phi = params.variance() if v_phi_override is None else v_phi_override
-        chains = []
-        for j in range(cfg.batch):
-            rng = np.random.default_rng(chain_seeds[k * cfg.batch + j])
-            chains.append(posterior_sample(x, model, sched, scfg, v_phi, rng))
+        seeds = chain_seeds[k * cfg.batch : (k + 1) * cfg.batch]
+        chains = _run_chains(x, model, sched, scfg, v_phi, seeds)
         s_hat = np.mean(chains, axis=0)
         entry = {"residual_power": float(np.mean(np.abs(x - s_hat) ** 2))}
         if v_phi_override is None:

@@ -334,3 +334,36 @@ def test_training_divergence_is_numeric_error(tmp_path, capsys):
     assert rc == cli.EXIT_NUMERIC
     assert "training diverged" in capsys.readouterr().err
     assert not (tmp_path / "t.bin").exists()
+
+
+def test_enhance_silent_input_gives_silence(tiny_ckpt, tmp_path, capsys):
+    silent = tmp_path / "silent.wav"
+    signal.save_wav(silent, signal.Waveform(np.zeros(2000), 16000))
+    out_path = tmp_path / "o.wav"
+    rc = cli.main(
+        ["enhance", "--input", str(silent), "--ckpt", str(tiny_ckpt),
+         "--output", str(out_path), *FAST_ENHANCE]
+    )
+    assert rc == cli.EXIT_OK
+    capsys.readouterr()
+    out = signal.load_wav(out_path)
+    assert len(out) == 2000
+    assert not np.any(out.samples)
+
+
+@pytest.mark.parametrize("command", ["enhance", "benchmark"])
+def test_rank_above_frame_count_is_rejected_before_enhancing(command, tiny_ckpt, tmp_path, capsys):
+    # 100 samples at the default 510-sample window make a single STFT frame
+    short, _ = _write_noisy(tmp_path, n=100)
+    out_path = tmp_path / "o.wav"
+    if command == "enhance":
+        argv = ["enhance", "--input", str(short), "--output", str(out_path)]
+    else:
+        argv = ["benchmark", "--clean-dir", str(tmp_path), "--noise-dir", str(tmp_path),
+                "--report", str(out_path)]
+    rc = cli.main(argv + ["--ckpt", str(tiny_ckpt), "--em-iters", "1", "--reverse-steps", "4",
+                          "--batch", "1"])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--nmf-rank 4" in err and "1 STFT frame(s)" in err
+    assert not out_path.exists()

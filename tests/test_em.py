@@ -1,8 +1,18 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from diffenh import em
 from diffenh.em import EnhancementConfig, enhance_spectrogram, enhance_waveform
-from diffenh.score import AnalyticGaussianPrior
+from diffenh.noise_nmf import init_nmf, m_step
+from diffenh.sampler import posterior_sample
+from diffenh.score import AnalyticGaussianPrior, ToyScoreNet
 from diffenh.sde import SdeSchedule
 from diffenh.signal import StftConfig, Waveform, mix_at_snr
 
@@ -93,3 +103,132 @@ def test_enhance_waveform_preserves_length_and_rate(sched):
     assert len(out) == len(noisy)
     assert out.sample_rate == noisy.sample_rate
     assert np.all(np.isfinite(out.samples))
+
+
+def _mixture(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _sequential_em(x, model, sched, cfg):
+    """The EM loop with its chains drawn one after another, as first written."""
+    scfg = cfg.sampler_config()
+    params = init_nmf(*x.shape, cfg.nmf_rank, float(np.mean(np.abs(x) ** 2)), seed=cfg.seed)
+    params = m_step(x, np.zeros_like(x), params, cfg.nmf_inner_updates)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.em_iters * cfg.batch)
+    for k in range(cfg.em_iters):
+        v_phi = params.variance()
+        chains = [
+            posterior_sample(x, model, sched, scfg, v_phi,
+                             np.random.default_rng(seeds[k * cfg.batch + j]))
+            for j in range(cfg.batch)
+        ]
+        s_hat = np.mean(chains, axis=0)
+        params = m_step(x, s_hat, params, cfg.nmf_inner_updates)
+    return s_hat, params
+
+
+@pytest.mark.parametrize("batch", [1, 3, 5])
+def test_pooled_chains_equal_sequential_loop(batch, sched):
+    x = _mixture((9, 14), batch)
+    net = ToyScoreNet(hidden=(8,), seed=batch, sched=sched)
+    cfg = EnhancementConfig(em_iters=2, batch=batch, reverse_steps=5, seed=21)
+    res = enhance_spectrogram(x, net, sched, cfg)
+    s_hat, params = _sequential_em(x, net, sched, cfg)
+    assert np.array_equal(res.s_hat, s_hat)
+    assert np.array_equal(res.nmf.W, params.W) and np.array_equal(res.nmf.H, params.H)
+
+
+def test_concurrent_callers_equal_serial_calls(sched):
+    net = ToyScoreNet(hidden=(8,), seed=0, sched=sched)
+    jobs = [(_mixture((10, 12), i), EnhancementConfig(em_iters=2, batch=3, reverse_steps=4, seed=i))
+            for i in range(3)]
+    serial = [enhance_spectrogram(x, net, sched, cfg).s_hat for x, cfg in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often to shake out ordering bugs
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as callers:
+            futures = [callers.submit(enhance_spectrogram, x, net, sched, cfg) for x, cfg in jobs]
+            concurrent = [f.result(timeout=120).s_hat for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, concurrent):
+        assert np.array_equal(a, b)
+
+
+class _FailsOnCall:
+    """Score model proxy whose n-th evaluate raises FloatingPointError."""
+
+    def __init__(self, model, n):
+        self.model = model
+        self.n = n
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def evaluate(self, s_t, t):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        if call == self.n:
+            raise FloatingPointError(f"injected failure on evaluate {call}")
+        return self.model.evaluate(s_t, t)
+
+
+def test_chain_failure_cancels_waiting_chains_and_pool_recovers(sched):
+    x = _mixture((64, 64), 7)
+    net = ToyScoreNet(hidden=(8,), seed=0, sched=sched)
+    # more chains than workers, so some are still queued when the 5th evaluate fails
+    cfg = EnhancementConfig(em_iters=1, batch=3 * em._usable_cpus() + 6, reverse_steps=20, seed=0)
+    failing = _FailsOnCall(net, 5)
+    with pytest.raises(FloatingPointError, match="injected failure on evaluate 5"):
+        enhance_spectrogram(x, failing, sched, cfg)
+    calls = failing.calls
+    # about one chain per worker started; had the queued ones run too, nearly
+    # batch * (2N + 1) evaluates would have been made
+    assert calls <= (cfg.batch // 2) * (2 * cfg.reverse_steps + 1)
+    time.sleep(0.2)
+    assert failing.calls == calls  # the started chains finished before the raise
+    small = EnhancementConfig(em_iters=1, batch=2, reverse_steps=4, seed=3)
+    x_small = _mixture((6, 9), 8)
+    res = enhance_spectrogram(x_small, net, sched, small)
+    assert np.array_equal(res.s_hat, _sequential_em(x_small, net, sched, small)[0])
+
+
+def test_failed_chain_cancels_queued_chains_and_waits_for_running_ones(sched, monkeypatch):
+    started, finished = [], []
+
+    def fake_posterior_sample(x, model, sched, cfg, v_phi, rng):
+        chain = rng.bit_generator.seed_seq.spawn_key[-1]
+        started.append(chain)
+        if chain == 0:
+            time.sleep(0.05)
+            raise FloatingPointError("chain 0 failed")
+        time.sleep(0.3)
+        finished.append(chain)
+        return x
+
+    monkeypatch.setattr(em, "posterior_sample", fake_posterior_sample)
+    workers = em._usable_cpus()
+    cfg = EnhancementConfig(em_iters=1, batch=workers + 3, seed=0)
+    with pytest.raises(FloatingPointError, match="chain 0 failed"):
+        enhance_spectrogram(_mixture((4, 6), 0), None, sched, cfg)
+    assert len(started) <= workers + 1  # at most one queued chain slipped in before the cancel
+    assert sorted(finished) == sorted(set(started) - {0})  # no chain outlives the raise
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_forked_child_runs_chains_on_its_own_pool(sched):
+    net = ToyScoreNet(hidden=(8,), seed=0, sched=sched)
+    x = _mixture((6, 9), 9)
+    cfg = EnhancementConfig(em_iters=1, batch=4, reverse_steps=4, seed=5)
+    expected = enhance_spectrogram(x, net, sched, cfg).s_hat  # the pool's threads now exist
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        got = child.apply_async(enhance_spectrogram, (x, net, sched, cfg)).get(timeout=30)
+    assert np.array_equal(got.s_hat, expected)
+
+
+def test_silent_mixture_gives_silence(sched):
+    prior = AnalyticGaussianPrior(mean=np.zeros((5, 7)), var0=1.0, sched=sched)
+    res = enhance_spectrogram(np.zeros((5, 7), complex), prior, sched, EnhancementConfig())
+    assert np.array_equal(res.s_hat, np.zeros((5, 7)))
+    assert res.trace == []

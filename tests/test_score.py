@@ -79,6 +79,48 @@ def test_toy_net_shapes_and_param_count():
     assert net.score_batch(np.zeros((3, 5, 7), complex), np.full(3, 0.5)).shape == (3, 5, 7)
 
 
+def _feature_matrix_score(net, s, t):
+    """The evaluation as first written: one 11-column feature row per point."""
+    flat = s.reshape(-1)
+    tf = score._time_features(np.full(flat.size, t), net.emb_freqs)
+    h = np.concatenate([flat.real[:, None], flat.imag[:, None], tf], axis=1)
+    last = len(net.ema_params) - 1
+    for i, (W, b) in enumerate(net.ema_params):
+        h = h @ W + b
+        if i < last:
+            h = np.tanh(h)
+    return ((h[:, 0] + 1j * h[:, 1] - flat) / net.marginal_var(t)[0]).reshape(s.shape)
+
+
+GRIDS = {
+    "1": (1,),
+    "5x7": (5, 7),
+    "5x7 transposed": (7, 5),
+    "block-1": (score.EVAL_BLOCK - 1,),
+    "block": (score.EVAL_BLOCK,),
+    "block+1": (score.EVAL_BLOCK + 1,),
+    "256x126": (256, 126),
+}
+
+
+@pytest.mark.parametrize("hidden", [(8,), (32, 32)], ids=["1 hidden", "2 hidden"])
+@pytest.mark.parametrize("grid", GRIDS)
+def test_evaluate_matches_feature_matrix_formula(grid, hidden):
+    rng = np.random.default_rng(len(hidden))
+    net = ToyScoreNet(hidden=hidden, seed=2, sched=SCHED)
+    # nonzero biases, set after construction as a loaded or trained net has them
+    net.ema_params = [(W, rng.standard_normal(b.shape).astype(np.float32)) for W, b in net.params]
+    shape = GRIDS[grid]
+    s = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if grid.endswith("transposed"):
+        s = s.T
+        assert not s.flags.c_contiguous
+    for t in (SCHED.t_min, 0.5, 1.0):
+        got = net.evaluate(s, t)
+        assert got.shape == s.shape
+        assert np.max(np.abs(got - _feature_matrix_score(net, s, t))) < 1e-12
+
+
 def test_toy_net_evaluate_is_deterministic():
     net = ToyScoreNet(seed=5, sched=SCHED)
     s = np.array([[0.3 - 0.2j, 1.0 + 1.0j]])
