@@ -150,8 +150,6 @@ def build_parser() -> _Parser:
                        help="check the closed-form kernel variance against its ODE",
                        description="Integrate the variance ODE and compare to the closed form.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
-    p.add_argument("--g-leading", choices=["sigma_min", "sigma_max"], default="sigma_min",
-                   help="leading coefficient of the diffusion term")
     p.add_argument("--ode-steps", type=int, default=10000, help="RK4 grid resolution")
     _add_schedule_flags(p)
     p.set_defaults(func=cmd_validate_sde)
@@ -302,6 +300,13 @@ def _check_nmf_rank(rank: int, n_samples: int, what: str, stft_cfg: signal.StftC
         )
 
 
+def _check_at_least(minimum: int, *flags):
+    """Usage error naming the first (flag, value) pair whose value is below minimum."""
+    for flag, value in flags:
+        if value < minimum:
+            raise _UsageError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def _wav_files(directory) -> list[str]:
     """Sorted paths of the .wav files in directory; none is an I/O error."""
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".wav"))
@@ -315,6 +320,10 @@ def _wav_files(directory) -> list[str]:
 
 
 def cmd_train(args) -> int:
+    _check_at_least(1, ("--patch-frames", args.patch_frames))
+    if args.synthetic == "gaussian":
+        _check_at_least(1, ("--items", args.items), ("--bins", args.bins),
+                        ("--frames", args.frames))
     print(f"# seed={args.seed}")
     sched = _schedule(args)
     stft_cfg = _stft_config(args)
@@ -373,6 +382,8 @@ def cmd_enhance(args) -> int:
 def cmd_sample(args) -> int:
     if not args.output and not args.dump_spec:
         raise _UsageError("sample needs --output and/or --dump-spec")
+    # a WAV of (frames - 1) hops needs two frames to hold any sample
+    _check_at_least(2 if args.output else 1, ("--frames", args.frames))
     print(f"# seed={args.seed}")
     model, sched = _load_checkpoint(args.ckpt)
     stft_cfg = _stft_config(args)
@@ -395,18 +406,15 @@ def cmd_sample(args) -> int:
 
 
 def cmd_validate_sde(args) -> int:
-    sched = sde.SdeSchedule(
-        gamma=args.gamma, sigma_min=args.sigma_min, sigma_max=args.sigma_max,
-        t_min=args.t_min, g_leading=args.g_leading,
-    )
-    err = sde.variance_ode_error(sched, n_steps=args.ode_steps)
+    _check_at_least(1, ("--ode-steps", args.ode_steps))
+    err = sde.variance_ode_error(_schedule(args), n_steps=args.ode_steps)
     verdict = "PASS" if err < ODE_TOLERANCE else "FAIL"
     print(f"max relative error = {err:.3e} (tolerance {ODE_TOLERANCE:.0e}): {verdict}")
     return EXIT_OK if verdict == "PASS" else EXIT_VALIDATION
 
 
 def _benchmark_pairs(args, model, sched, stft_cfg):
-    """Yield (label, clean, noise) waveforms for the benchmark grid."""
+    """The (label, clean, noise) waveforms of the benchmark grid, as a list."""
     rng = np.random.default_rng(args.seed)
     if args.synthetic:
         scfg = SamplerConfig(n_steps=args.reverse_steps)
@@ -429,6 +437,8 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
 
 
 def cmd_benchmark(args) -> int:
+    if args.synthetic:
+        _check_at_least(1, ("--utterances", args.utterances))
     print(f"# seed={args.seed}")
     model, sched = _load_checkpoint(args.ckpt)
     stft_cfg = _stft_config(args)

@@ -90,19 +90,15 @@ class EnhancementResult:
     trace: list  # one dict per EM iteration
 
 
-def _chain(x, model, sched, scfg, v_phi, seed):
-    # posterior_sample is looked up here, at call time, so a rebinding of
-    # this module's name (tracing) reaches the pool threads too
-    return posterior_sample(x, model, sched, scfg, v_phi, np.random.default_rng(seed))
-
-
 def _run_chains(x, model, sched, scfg, v_phi, seeds) -> list:
     """One posterior chain per seed on the shared pool, results in seed order.
 
     If a chain raises, the chains not yet started are cancelled, the running
     ones are waited for, and the first failure in chain order is re-raised.
     """
-    futures = [_CHAIN_POOL.submit(_chain, x, model, sched, scfg, v_phi, seed) for seed in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # looked up on every call, so a rebinding of em.posterior_sample reaches the pool threads
+    futures = [_CHAIN_POOL.submit(posterior_sample, x, model, sched, scfg, v_phi, r) for r in rngs]
     try:
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:

@@ -34,12 +34,6 @@ class ScoreModel:
     def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def score_batch(self, s_t: np.ndarray, t) -> np.ndarray:
-        """Per-item scores for a (B, ...) stack; subclasses may vectorize."""
-        return np.stack(
-            [self.evaluate(s_t[i], float(ti)) for i, ti in enumerate(np.atleast_1d(t))]
-        )
-
 
 # ---------------------------------------------------------------------------
 # analytic priors
@@ -175,9 +169,9 @@ class ToyScoreNet(ScoreModel):
     through W1[2:].  The time part depends on t alone, so it is computed once
     per distinct t as a first-layer bias, _time_features(t) @ W1[2:] + b1
     (FiLM-style conditioning), instead of once per grid point.  evaluate()
-    (EMA weights, one t) and score_batch() / dsm_loss_and_grad() (live
-    weights, one t per item) share this forward pass; evaluate() walks the
-    grid in blocks of EVAL_BLOCK points so its activations stay in cache.
+    (EMA weights, one t) and dsm_loss_and_grad() (live weights, one t per
+    item) share this forward pass; evaluate() walks the grid in blocks of
+    EVAL_BLOCK points so its activations stay in cache.
 
     Parameters are kept in float32 so checkpoints round-trip bit-exactly and
     are cast to float64 for every computation; a float64 instance is
@@ -250,16 +244,6 @@ class ToyScoreNet(ScoreModel):
             out[i] = mom.delta**2 + mom.var
         return out
 
-    def score_batch(self, s_t: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Score of a (B, ...) stack of grids with live weights, one t per item."""
-        params = _as_float64(self.params)
-        state = _state_rows(s_t)
-        _, bias = self._time_bias(params, t)
-        out, _ = self._forward(params, state, bias)
-        per = len(state) // len(bias)
-        m = np.repeat(self.marginal_var(t), per)[:, None]
-        return ((out - state) / m).view(np.complex128).reshape(s_t.shape)
-
     def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
         # weights are cast here, not cached: callers may replace ema_params
         params = _as_float64(self.ema_params)
@@ -282,8 +266,8 @@ class ToyScoreNet(ScoreModel):
     def update_ema(self):
         d = self.ema_decay
         self.ema_params = [
-            ((d * eW + (1 - d) * W).astype(self.dtype), (d * eb + (1 - d) * b).astype(self.dtype))
-            for (eW, eb), (W, b) in zip(self.ema_params, self.params)
+            tuple((d * e + (1 - d) * p).astype(self.dtype) for e, p in zip(ema_pair, pair))
+            for ema_pair, pair in zip(self.ema_params, self.params)
         ]
 
 
@@ -332,10 +316,15 @@ def _batch_terms(batch: TrainBatch, sched: SdeSchedule):
     return s_t, target
 
 
-def dsm_loss(model, batch: TrainBatch, sched: SdeSchedule) -> float:
-    """Mean over the batch of the squared 2-norm of S(s_t, t) - (-zeta/sigma)."""
+def dsm_loss(model: ScoreModel, batch: TrainBatch, sched: SdeSchedule) -> float:
+    """Mean over the batch of the squared 2-norm of S(s_t, t) - (-zeta/sigma).
+
+    The reference the gradient checks compare dsm_loss_and_grad against.  It
+    scores each item with model.evaluate(s_t[i], t_i), so for a ToyScoreNet
+    it uses the weights evaluate uses, the EMA ones."""
     s_t, target = _batch_terms(batch, sched)
-    resid = model.score_batch(s_t, batch.t) - target
+    scores = np.stack([model.evaluate(s_t[i], float(ti)) for i, ti in enumerate(batch.t)])
+    resid = scores - target
     return float(np.mean(np.sum(np.abs(resid) ** 2, axis=tuple(range(1, resid.ndim)))))
 
 
@@ -374,6 +363,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
             raise ValueError("invalid training configuration")
+        if self.patch_frames < 1:
+            raise ValueError(f"patch_frames must be >= 1, got {self.patch_frames}")
         if self.lr_decay not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_decay {self.lr_decay!r}")
 
@@ -386,12 +377,13 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
     """
     if not dataset:
         raise ValueError("train: empty dataset")
+    if any(spec.shape[0] < 1 for spec in dataset):
+        raise ValueError("train: dataset items need at least one frequency bin")
     model.sched = sched  # the output map's m(t) must follow the training schedule
     rng = np.random.default_rng(cfg.seed)
-    m_state = [(np.zeros_like(W, dtype=np.float64), np.zeros_like(b, dtype=np.float64))
-               for W, b in model.params]
-    v_state = [(np.zeros_like(W, dtype=np.float64), np.zeros_like(b, dtype=np.float64))
-               for W, b in model.params]
+    # Adam moments for each array of the flat [W1, b1, W2, b2, ...] list
+    m_state = [np.zeros(a.shape) for pair in model.params for a in pair]
+    v_state = [np.zeros_like(m) for m in m_state]
     b1, b2, eps = 0.9, 0.999, 1e-8
     total = cfg.epochs * cfg.steps_per_epoch
     history = []
@@ -411,24 +403,16 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
                 lr = cfg.lr
             model.step += 1
             k = model.step
-            new_params = []
-            for i, ((W, bb), (gW, gb)) in enumerate(zip(model.params, grads)):
-                mW, mb = m_state[i]
-                vW, vb = v_state[i]
-                mW[:] = b1 * mW + (1 - b1) * gW
-                mb[:] = b1 * mb + (1 - b1) * gb
-                vW[:] = b2 * vW + (1 - b2) * gW**2
-                vb[:] = b2 * vb + (1 - b2) * gb**2
-                den = 1 - b1**k
-                hatW = mW / den
-                hatb = mb / den
-                den2 = 1 - b2**k
-                stepW = lr * hatW / (np.sqrt(vW / den2) + eps)
-                stepb = lr * hatb / (np.sqrt(vb / den2) + eps)
-                new_params.append(
-                    ((W - stepW).astype(model.dtype), (bb - stepb).astype(model.dtype))
-                )
-            model.params = new_params
+            flat_params = [a for pair in model.params for a in pair]
+            flat_grads = [g for pair in grads for g in pair]
+            new_flat = []
+            for p, g, m, v in zip(flat_params, flat_grads, m_state, v_state):
+                m[:] = b1 * m + (1 - b1) * g
+                v[:] = b2 * v + (1 - b2) * g**2
+                hat = m / (1 - b1**k)
+                step = lr * hat / (np.sqrt(v / (1 - b2**k)) + eps)
+                new_flat.append((p - step).astype(model.dtype))
+            model.params = list(zip(new_flat[::2], new_flat[1::2]))
             model.update_ema()
         history.append(acc / cfg.steps_per_epoch)
     return model, history
@@ -437,25 +421,15 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_G_LEADING_CODES = {"sigma_min": 0, "sigma_max": 1}
-
-
 def save_checkpoint(model: ToyScoreNet, sched: SdeSchedule, path):
     """Write magic, version, schedule, architecture, then float32 parameter
     and EMA blobs."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(
-            struct.pack(
-                "<ddddI",
-                sched.gamma,
-                sched.sigma_min,
-                sched.sigma_max,
-                sched.t_min,
-                _G_LEADING_CODES[sched.g_leading],
-            )
-        )
+        # the code after the schedule is 0: g(t) is led by sigma_min (sde.diffusion_coeff)
+        fh.write(struct.pack("<ddddI", sched.gamma, sched.sigma_min, sched.sigma_max,
+                             sched.t_min, 0))
         fh.write(struct.pack("<I", len(model.sizes)))
         fh.write(struct.pack(f"<{len(model.sizes)}I", *model.sizes))
         fh.write(struct.pack("<I", len(model.emb_freqs)))
@@ -483,14 +457,10 @@ def load_checkpoint(path):
         (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        gamma, smin, smax, tmin, glead = struct.unpack("<ddddI", _read_exact(fh, 36, path))
-        sched = SdeSchedule(
-            gamma=gamma,
-            sigma_min=smin,
-            sigma_max=smax,
-            t_min=tmin,
-            g_leading="sigma_min" if glead == 0 else "sigma_max",
-        )
+        gamma, smin, smax, tmin, g_code = struct.unpack("<ddddI", _read_exact(fh, 36, path))
+        if g_code != 0:
+            raise ValueError(f"{path}: unknown diffusion-coefficient code {g_code}, expected 0")
+        sched = SdeSchedule(gamma=gamma, sigma_min=smin, sigma_max=smax, t_min=tmin)
         (n_sizes,) = struct.unpack("<I", _read_exact(fh, 4, path))
         sizes = struct.unpack(f"<{n_sizes}I", _read_exact(fh, 4 * n_sizes, path))
         (n_freqs,) = struct.unpack("<I", _read_exact(fh, 4, path))

@@ -14,12 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Leading coefficient conventions for the diffusion term.  "sigma_min" is the
-#: one consistent with the closed-form kernel variance; "sigma_max" is kept as
-#: an escape hatch so the validation command can demonstrate the mismatch.
-G_LEADING = ("sigma_min", "sigma_max")
-
-
 @dataclass(frozen=True)
 class SdeSchedule:
     """Parameters of the noise schedule.
@@ -33,7 +27,6 @@ class SdeSchedule:
     sigma_min: float = 0.05
     sigma_max: float = 0.5
     t_min: float = 0.03
-    g_leading: str = "sigma_min"
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -44,8 +37,6 @@ class SdeSchedule:
             )
         if not 0 < self.t_min < 1:
             raise ValueError(f"t_min must lie in (0, 1), got {self.t_min}")
-        if self.g_leading not in G_LEADING:
-            raise ValueError(f"g_leading must be one of {G_LEADING}")
 
     @property
     def log_ratio(self) -> float:
@@ -66,15 +57,15 @@ def _check_time(t: float):
 
 
 def diffusion_coeff(t: float, sched: SdeSchedule) -> float:
-    """Diffusion magnitude g(t) = lead * (sigma_max/sigma_min)^t * sqrt(2 log(sigma_max/sigma_min)).
+    """Diffusion magnitude g(t) = sigma_min * r^t * sqrt(2 log r), r = sigma_max/sigma_min.
 
-    The leading coefficient is sigma_min by default; that choice makes the
-    closed-form kernel variance the exact solution of the variance ODE
-    (see variance_ode_error).
+    Leading with sigma_min is what makes the closed-form kernel variance the
+    exact solution of the variance ODE (see variance_ode_error); a sigma_max
+    lead would make the sampler's steps disagree with kernel_moments.
     """
     _check_time(t)
-    lead = sched.sigma_min if sched.g_leading == "sigma_min" else sched.sigma_max
-    return lead * (sched.sigma_max / sched.sigma_min) ** t * math.sqrt(2.0 * sched.log_ratio)
+    ratio = sched.sigma_max / sched.sigma_min
+    return sched.sigma_min * ratio**t * math.sqrt(2.0 * sched.log_ratio)
 
 
 def kernel_moments(t: float, sched: SdeSchedule) -> KernelMoments:
@@ -115,6 +106,9 @@ def variance_ode_error(sched: SdeSchedule, n_steps: int = 10_000) -> float:
     is floored at a small fraction of the final variance so the t -> 0 region,
     where the variance itself vanishes, cannot divide by zero.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+
     def rhs(t, v):
         return -2.0 * sched.gamma * v + diffusion_coeff(t, sched) ** 2
 

@@ -120,9 +120,10 @@ def test_dsm_loss_oracle_zero_and_exact_gradient(sched, record_acceptance):
         def __init__(self, b):
             sig = np.sqrt([sde.kernel_moments(float(tt), sched).var for tt in b.t])
             self.value = -b.zeta / sig[:, None, None]
+            self.times = [float(tt) for tt in b.t]
 
-        def score_batch(self, s_t, t):
-            return self.value
+        def evaluate(self, s_t, t):
+            return self.value[self.times.index(t)]
 
     oracle_loss = score.dsm_loss(OracleTarget(batch), batch, sched)
 
@@ -151,7 +152,7 @@ def test_dsm_loss_oracle_zero_and_exact_gradient(sched, record_acceptance):
         for sgn in (1.0, -1.0):
             v = base.copy()
             v[i] += sgn * eps
-            net.params = unflatten(v)
+            net.params = net.ema_params = unflatten(v)
             fd[j] += sgn * score.dsm_loss(net, grad_batch, sched)
         fd[j] /= 2 * eps
     rel = np.linalg.norm(analytic[idx] - fd) / np.linalg.norm(fd)

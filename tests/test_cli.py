@@ -47,7 +47,8 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_validate_sde_pass_and_fail(capsys):
     assert cli.main(["validate-sde"]) == cli.EXIT_OK
     assert "PASS" in capsys.readouterr().out
-    assert cli.main(["validate-sde", "--g-leading", "sigma_max"]) == cli.EXIT_VALIDATION
+    # two RK4 steps are far too coarse to meet the tolerance
+    assert cli.main(["validate-sde", "--ode-steps", "2"]) == cli.EXIT_VALIDATION
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -366,4 +367,49 @@ def test_rank_above_frame_count_is_rejected_before_enhancing(command, tiny_ckpt,
     assert rc == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "--nmf-rank 4" in err and "1 STFT frame(s)" in err
+    assert not out_path.exists()
+
+
+# (id, argv, flag the error must name); {out} is the one file the command may write
+NOTHING_TO_DO_CASES = [
+    ("train --patch-frames 0", "train " + _FAST_TRAIN + " --patch-frames 0 --out {out}",
+     "--patch-frames"),
+    ("train --bins 0", "train " + _FAST_TRAIN + " --bins 0 --out {out}", "--bins"),
+    ("train --items 0", "train " + _FAST_TRAIN + " --items 0 --out {out}", "--items"),
+    ("benchmark --utterances 0", "benchmark --ckpt {ckpt} --synthetic --utterances 0 "
+     "--frames 16 --snrs 0 --report {out} " + _FAST, "--utterances"),
+    ("sample --frames 0", "sample --ckpt {ckpt} --output {out} --frames 0 --reverse-steps 2 "
+     "--window-len 64 --hop 16", "--frames"),
+    ("sample --frames 1", "sample --ckpt {ckpt} --output {out} --frames 1 --reverse-steps 2 "
+     "--window-len 64 --hop 16", "--frames"),
+    ("validate-sde --ode-steps 0", "validate-sde --ode-steps 0", "--ode-steps"),
+    ("validate-sde --ode-steps -5", "validate-sde --ode-steps -5", "--ode-steps"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", [c[1:] for c in NOTHING_TO_DO_CASES],
+                         ids=[c[0] for c in NOTHING_TO_DO_CASES])
+def test_inputs_that_produce_nothing_are_usage_errors(argv, flag, tiny_ckpt, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main([tok.format(out=out, ckpt=tiny_ckpt) for tok in argv.split()])
+    assert rc == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_with_unknown_diffusion_code_is_malformed(tiny_ckpt, tmp_path, capsys):
+    from diffenh import score
+
+    blob = bytearray(tiny_ckpt.read_bytes())
+    assert blob[44] == 0  # magic (8) + version (4) + four float64 schedule fields (32)
+    blob[44] = 1
+    bad = tmp_path / "code1.bin"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="diffusion-coefficient code 1"):
+        score.load_checkpoint(bad)
+    out_path = tmp_path / "s.wav"
+    rc = cli.main(["sample", "--ckpt", str(bad), "--output", str(out_path),
+                   "--frames", "8", "--reverse-steps", "2", "--window-len", "64", "--hop", "16"])
+    assert rc == cli.EXIT_IO
+    assert "diffusion-coefficient code 1" in capsys.readouterr().err
     assert not out_path.exists()

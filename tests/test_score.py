@@ -76,7 +76,6 @@ def test_toy_net_shapes_and_param_count():
     assert net.n_params == 11 * 32 + 32 + 32 * 32 + 32 + 32 * 2 + 2
     s = np.zeros((5, 7), complex)
     assert net.evaluate(s, 0.5).shape == (5, 7)
-    assert net.score_batch(np.zeros((3, 5, 7), complex), np.full(3, 0.5)).shape == (3, 5, 7)
 
 
 def _feature_matrix_score(net, s, t):
@@ -164,14 +163,15 @@ def test_make_train_batch_contract():
 
 def test_dsm_loss_zero_when_oracle_injected():
     class OracleTarget(score.ScoreModel):
-        """Returns exactly the regression target for the batch it was built on."""
+        """Returns exactly the regression target of the batch item drawn at t."""
 
         def __init__(self, batch):
             sig = np.sqrt([sde.kernel_moments(float(t), SCHED).var for t in batch.t])
             self.value = -batch.zeta / sig[:, None, None]
+            self.times = [float(t) for t in batch.t]
 
-        def score_batch(self, s_t, t):
-            return self.value
+        def evaluate(self, s_t, t):
+            return self.value[self.times.index(t)]
 
     rng = np.random.default_rng(1)
     prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
@@ -219,10 +219,10 @@ def test_dsm_gradient_matches_finite_differences():
         for sgn in (1.0, -1.0):
             v = base.copy()
             v[i] += sgn * eps
-            net.params = unflatten(v)
+            net.params = net.ema_params = unflatten(v)
             fd[j] += sgn * dsm_loss(net, batch, SCHED)
         fd[j] /= 2 * eps
-    net.params = unflatten(base)
+    net.params = net.ema_params = unflatten(base)
     rel = np.linalg.norm(analytic[idx] - fd) / np.linalg.norm(fd)
     assert rel < 1e-4
 
@@ -242,6 +242,9 @@ def test_train_zero_epochs_leaves_parameters():
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train(ToyScoreNet(sched=SCHED), [], TrainConfig(), SCHED)
+    with pytest.raises(ValueError, match="frequency bin"):
+        train(ToyScoreNet(sched=SCHED), [np.zeros((0, 16), complex)], TrainConfig(patch_frames=8),
+              SCHED)
 
 
 def test_train_smoke():
@@ -256,9 +259,10 @@ def test_train_smoke():
     assert net.step == 80
     # even this short a run should pull the live weights toward the analytic
     # score (the EMA view lags far behind at 80 steps, so probe live weights)
+    net.ema_params = [(W.copy(), b.copy()) for W, b in net.params]
     pts = prior.sample((200,), rng)
     t = 0.5
-    got = net.score_batch(pts[None, :], np.array([t]))[0]
+    got = net.evaluate(pts, t)
     want = prior.evaluate(pts, t)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 0.5
 
@@ -268,6 +272,8 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="patch_frames must be >= 1, got 0"):
+        TrainConfig(patch_frames=0)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -9,7 +9,6 @@ from diffenh import sde
 def test_schedule_defaults():
     s = sde.SdeSchedule()
     assert (s.gamma, s.sigma_min, s.sigma_max, s.t_min) == (1.5, 0.05, 0.5, 0.03)
-    assert s.g_leading == "sigma_min"
 
 
 @pytest.mark.parametrize(
@@ -21,7 +20,6 @@ def test_schedule_defaults():
         {"sigma_max": -1.0},
         {"t_min": 0.0},
         {"t_min": 1.5},
-        {"g_leading": "sigma_med"},
     ],
 )
 def test_schedule_rejects_bad_fields(kwargs):
@@ -76,9 +74,21 @@ def test_variance_ode_matches_closed_form():
     assert err < 1e-6
 
 
-def test_variance_ode_flags_wrong_leading_coefficient():
-    err = sde.variance_ode_error(sde.SdeSchedule(g_leading="sigma_max"))
+def test_variance_ode_flags_wrong_leading_coefficient(monkeypatch):
+    def sigma_max_led(t, sched):
+        return sched.sigma_max * (sched.sigma_max / sched.sigma_min) ** t * math.sqrt(
+            2.0 * sched.log_ratio
+        )
+
+    monkeypatch.setattr(sde, "diffusion_coeff", sigma_max_led)
+    err = sde.variance_ode_error(sde.SdeSchedule())
     assert err > 1.0
+
+
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_variance_ode_rejects_nonpositive_steps(n_steps):
+    with pytest.raises(ValueError, match=f"got {n_steps}"):
+        sde.variance_ode_error(sde.SdeSchedule(), n_steps=n_steps)
 
 
 def test_complex_randn_moments():
