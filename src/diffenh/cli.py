@@ -83,6 +83,18 @@ def _add_enhance_flags(p):
     p.add_argument("--nmf-updates", type=int, default=20, help="multiplicative updates per M-step")
 
 
+def _hidden_widths(text: str) -> tuple[int, ...]:
+    """--hidden as layer widths; argparse reports the error under the flag's name."""
+    try:
+        widths = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        widths = ()
+    if not widths or min(widths) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer widths of at least 1, got {text!r}")
+    return widths
+
+
 def build_parser() -> _Parser:
     root = _Parser(prog="diffenh", formatter_class=_fmt,
                    description="Speech enhancement with a diffusion prior and an NMF noise model.")
@@ -101,7 +113,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--resume", metavar="CKPT",
                    help="continue training from a checkpoint (its schedule and architecture win)")
-    p.add_argument("--hidden", default="32,32", help="comma-separated hidden layer widths")
+    p.add_argument("--hidden", type=_hidden_widths, default="32,32",
+                   help="comma-separated hidden layer widths")
     p.add_argument("--lr", type=float, default=0.0001, help="learning rate")
     p.add_argument("--lr-decay", choices=["constant", "cosine"], default="constant",
                    help="learning-rate schedule")
@@ -330,8 +343,7 @@ def cmd_train(args) -> int:
     if args.resume:
         model, sched = _load_checkpoint(args.resume)
     else:
-        hidden = tuple(int(v) for v in args.hidden.split(","))
-        model = score.ToyScoreNet(hidden=hidden, seed=args.seed, sched=sched)
+        model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed, sched=sched)
     if args.synthetic == "gaussian":
         prior = score.AnalyticGaussianPrior(
             mean=np.zeros((args.bins, args.frames)), var0=1.0, sched=sched
@@ -384,6 +396,8 @@ def cmd_sample(args) -> int:
         raise _UsageError("sample needs --output and/or --dump-spec")
     # a WAV of (frames - 1) hops needs two frames to hold any sample
     _check_at_least(2 if args.output else 1, ("--frames", args.frames))
+    if args.bins is not None:
+        _check_at_least(1, ("--bins", args.bins))
     print(f"# seed={args.seed}")
     model, sched = _load_checkpoint(args.ckpt)
     stft_cfg = _stft_config(args)
@@ -437,11 +451,15 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
 
 
 def cmd_benchmark(args) -> int:
+    stft_cfg = _stft_config(args)
     if args.synthetic:
+        # a synthetic utterance has (frames - 1) * hop samples, known before sampling
         _check_at_least(1, ("--utterances", args.utterances))
+        _check_at_least(2, ("--frames", args.frames))
+        _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,
+                        f"a synthetic utterance of --frames {args.frames}", stft_cfg)
     print(f"# seed={args.seed}")
     model, sched = _load_checkpoint(args.ckpt)
-    stft_cfg = _stft_config(args)
     try:
         snrs = [float(v) for v in args.snrs.split(",")]
     except ValueError as exc:

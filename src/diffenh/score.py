@@ -22,9 +22,10 @@ CHECKPOINT_VERSION = 1
 
 DEFAULT_EMB_FREQS = (0.5, 1.0, 2.0, 4.0)
 
-# grid points ToyScoreNet.evaluate pushes through the net at a time; each
-# block's activations (EVAL_BLOCK x width float64, 512 KB at width 32) stay
-# in the per-core L2 cache instead of streaming full-grid layers through memory
+# grid points pushed through the net at a time, by ToyScoreNet.evaluate and
+# by the training pass dsm_loss_and_grad alike; each block's activations
+# (EVAL_BLOCK x width float64, 512 KB at width 32) stay in the per-core L2
+# cache instead of streaming full-grid layers through memory
 EVAL_BLOCK = 2048
 
 
@@ -170,8 +171,8 @@ class ToyScoreNet(ScoreModel):
     per distinct t as a first-layer bias, _time_features(t) @ W1[2:] + b1
     (FiLM-style conditioning), instead of once per grid point.  evaluate()
     (EMA weights, one t) and dsm_loss_and_grad() (live weights, one t per
-    item) share this forward pass; evaluate() walks the grid in blocks of
-    EVAL_BLOCK points so its activations stay in cache.
+    item) share this forward pass, and both walk their points in blocks of
+    at most EVAL_BLOCK so the activations stay in cache.
 
     Parameters are kept in float32 so checkpoints round-trip bit-exactly and
     are cast to float64 for every computation; a float64 instance is
@@ -181,6 +182,8 @@ class ToyScoreNet(ScoreModel):
     def __init__(
         self, hidden=(32, 32), emb_freqs=DEFAULT_EMB_FREQS, seed=0, dtype=np.float32, sched=None
     ):
+        if any(w < 1 for w in hidden):
+            raise ValueError(f"hidden widths must be at least 1, got {tuple(hidden)}")
         self.emb_freqs = np.asarray(emb_freqs, dtype=np.float64)
         self.sched = sched if sched is not None else SdeSchedule()
         in_dim = 3 + 2 * len(self.emb_freqs)
@@ -329,25 +332,62 @@ def dsm_loss(model: ScoreModel, batch: TrainBatch, sched: SdeSchedule) -> float:
 
 
 def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule):
-    """Loss plus its exact gradient with respect to the live parameters."""
+    """Loss plus its exact gradient with respect to the live parameters.
+
+    Walks the batch in blocks of at most EVAL_BLOCK points, as evaluate walks
+    a grid, so the activations and deltas of a block stay in cache: a block
+    holds EVAL_BLOCK // n whole items of n points each (the last block the
+    rest), or, when an item has more than EVAL_BLOCK points, a chunk of one
+    item.  Residuals and deltas are computed in place in per-layer buffers;
+    the weight, bias and per-item time-row gradients are summed over blocks.
+    """
     s_t, target = _batch_terms(batch, sched)
     b = s_t.shape[0]
     params = _as_float64(model.params)
     state = _state_rows(s_t)
+    target = _state_rows(target)
     tf, bias = model._time_bias(params, batch.t)
-    out, acts = model._forward(params, state, bias)
-    m = np.repeat(model.marginal_var(batch.t), len(state) // b)[:, None]
-    resid = (out - state) / m - _state_rows(target)
-    loss = float(np.sum(resid**2) / b)
-    d = 2.0 * resid / m / b
-    grads = []
-    for i in range(len(params) - 1, 0, -1):
-        grads.append((acts[i].T @ d, d.sum(axis=0)))
-        d = (d @ params[i][0].T) * (1.0 - acts[i] ** 2)
-    # first layer: the state rows, then the time rows, which see one bias per item
-    per_item = d.reshape(b, -1, d.shape[1]).sum(axis=1)
-    grads.append((np.concatenate([state.T @ d, tf.T @ per_item]), d.sum(axis=0)))
-    return loss, grads[::-1]
+    m = model.marginal_var(batch.t)
+    n = len(state) // b
+    per_block = min(b, max(1, EVAL_BLOCK // n))  # whole items per block; 1 when chunking
+    rows = min(per_block * n, EVAL_BLOCK)
+    acts = [np.empty((rows, W.shape[1])) for W, _ in params]
+    deltas = [None] + [np.empty((rows, W.shape[0])) for W, _ in params[1:]]
+    grads = [None] + [[np.zeros_like(p) for p in pair] for pair in params[1:]]
+    state_grad = np.zeros((2, bias.shape[1]))
+    per_item = np.zeros_like(bias)
+    loss = 0.0
+    for i in range(0, b, per_block):
+        j = min(i + per_block, b)
+        scale = m[i:j, None, None]
+        for lo in range(i * n, j * n, rows):
+            hi = min(lo + rows, j * n)
+            x = state[lo:hi]
+            u, blk = model._forward(params, x, bias[i:j], [buf[: hi - lo] for buf in acts])
+            # residual (u - s) / m - target, then its delta 2 * resid / m / b
+            u_items = u.reshape(j - i, -1, 2)
+            u -= x
+            u_items /= scale
+            u -= target[lo:hi]
+            loss += float(np.vdot(u, u))
+            u *= 2.0
+            u_items /= scale
+            u /= b
+            d = u
+            for k in range(len(params) - 1, 0, -1):
+                a = blk[k]
+                grads[k][0] += a.T @ d
+                grads[k][1] += d.sum(axis=0)
+                d = np.matmul(d, params[k][0].T, out=deltas[k][: hi - lo])
+                # d *= 1 - a**2, through a, which no later step reads
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                d *= a
+            # first layer: the state rows here, the time rows once at the end
+            state_grad += x.T @ d
+            per_item[i:j] += d.reshape(j - i, -1, d.shape[1]).sum(axis=1)
+    grads[0] = (np.concatenate([state_grad, tf.T @ per_item]), per_item.sum(axis=0))
+    return loss / b, [tuple(g) for g in grads]
 
 
 @dataclass

@@ -384,6 +384,23 @@ NOTHING_TO_DO_CASES = [
      "--window-len 64 --hop 16", "--frames"),
     ("validate-sde --ode-steps 0", "validate-sde --ode-steps 0", "--ode-steps"),
     ("validate-sde --ode-steps -5", "validate-sde --ode-steps -5", "--ode-steps"),
+    ("sample --bins 0", "sample --ckpt {ckpt} --dump-spec {out} --bins 0 --frames 4 "
+     "--reverse-steps 2", "--bins"),
+    ("sample --bins -3", "sample --ckpt {ckpt} --dump-spec {out} --bins -3 --frames 4 "
+     "--reverse-steps 2", "--bins"),
+    ("benchmark --frames 1", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 1 "
+     "--snrs 0 --report {out} " + _FAST, "--frames"),
+    ("benchmark --frames 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 0 "
+     "--snrs 0 --report {out} " + _FAST, "--frames"),
+    # 3 frames make (3 - 1) * 16 = 32 samples, which give 3 STFT frames: rank 4 cannot fit
+    ("benchmark --synthetic --nmf-rank 4", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
+     "--frames 3 --nmf-rank 4 --snrs 0 --report {out} " + _FAST, "--nmf-rank"),
+    ("train --hidden 0", "train " + _FAST_TRAIN + " --hidden 0 --out {out}", "--hidden"),
+    ("train --hidden 8,-2", "train " + _FAST_TRAIN + " --hidden 8,-2 --out {out}", "--hidden"),
+    ("train --hidden 8,", "train " + _FAST_TRAIN + " --hidden 8, --out {out}", "--hidden"),
+    ("train --hidden 8,,8", "train " + _FAST_TRAIN + " --hidden 8,,8 --out {out}", "--hidden"),
+    ("train --hidden 2.5", "train " + _FAST_TRAIN + " --hidden 2.5 --out {out}", "--hidden"),
+    ("train --hidden wide", "train " + _FAST_TRAIN + " --hidden wide --out {out}", "--hidden"),
 ]
 
 
@@ -395,6 +412,19 @@ def test_inputs_that_produce_nothing_are_usage_errors(argv, flag, tiny_ckpt, tmp
     assert rc == cli.EXIT_USAGE
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+_CKPT_CASES = [c for c in NOTHING_TO_DO_CASES if "{ckpt}" in c[1]]
+
+
+@pytest.mark.parametrize("argv,flag", [c[1:] for c in _CKPT_CASES], ids=[c[0] for c in _CKPT_CASES])
+def test_inputs_that_produce_nothing_are_rejected_before_the_checkpoint_loads(argv, flag, tmp_path,
+                                                                             capsys):
+    # with no checkpoint to read, a check made after loading would exit 3 instead
+    gone = tmp_path / "gone.ckpt"
+    rc = cli.main([tok.format(out=tmp_path / "out", ckpt=gone) for tok in argv.split()])
+    assert rc == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 def test_checkpoint_with_unknown_diffusion_code_is_malformed(tiny_ckpt, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,12 @@ def test_evaluate_matches_feature_matrix_formula(grid, hidden):
         assert np.max(np.abs(got - _feature_matrix_score(net, s, t))) < 1e-12
 
 
+@pytest.mark.parametrize("hidden", [(0,), (32, 0), (8, -1)])
+def test_toy_net_rejects_empty_hidden_layers(hidden):
+    with pytest.raises(ValueError, match=re.escape(f"got {hidden}")):
+        ToyScoreNet(hidden=hidden, sched=SCHED)
+
+
 def test_toy_net_evaluate_is_deterministic():
     net = ToyScoreNet(seed=5, sched=SCHED)
     s = np.array([[0.3 - 0.2j, 1.0 + 1.0j]])
@@ -189,13 +198,15 @@ def test_dsm_loss_accepts_analytic_models():
     assert np.isfinite(loss) and loss > 0.0
 
 
-def test_dsm_gradient_matches_finite_differences():
+def _fd_gradient_error(item_shape, batch_size, patch_frames):
+    """Relative error of dsm_loss_and_grad against central differences of
+    dsm_loss, over 60 randomly chosen parameters."""
     net = ToyScoreNet(hidden=(16, 16), seed=3, dtype=np.float64, sched=SCHED)
     assert net.n_params <= 1000
     rng = np.random.default_rng(0)
     prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
-    ds = [prior.sample((4, 8), rng) for _ in range(4)]
-    batch = make_train_batch(ds, 3, 4, SCHED, rng)
+    ds = [prior.sample(item_shape, rng) for _ in range(4)]
+    batch = make_train_batch(ds, batch_size, patch_frames, SCHED, rng)
 
     def flatten(pairs):
         return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in pairs])
@@ -223,8 +234,85 @@ def test_dsm_gradient_matches_finite_differences():
             fd[j] += sgn * dsm_loss(net, batch, SCHED)
         fd[j] /= 2 * eps
     net.params = net.ema_params = unflatten(base)
-    rel = np.linalg.norm(analytic[idx] - fd) / np.linalg.norm(fd)
-    assert rel < 1e-4
+    return np.linalg.norm(analytic[idx] - fd) / np.linalg.norm(fd)
+
+
+def test_dsm_gradient_matches_finite_differences():
+    assert _fd_gradient_error((4, 8), 3, 4) < 1e-4
+
+
+def test_dsm_gradient_matches_finite_differences_across_blocks():
+    # items of 4 x 600 = 2400 points, each split over two blocks
+    assert 4 * 600 > score.EVAL_BLOCK
+    assert _fd_gradient_error((4, 640), 3, 600) < 1e-4
+
+
+def _unblocked_loss_and_grad(net, batch):
+    """The gradient pass as first written: every layer over the whole batch."""
+    s_t, target = score._batch_terms(batch, SCHED)
+    b = s_t.shape[0]
+    params = score._as_float64(net.params)
+    state = score._state_rows(s_t)
+    tf, bias = net._time_bias(params, batch.t)
+    out, acts = net._forward(params, state, bias)
+    m = np.repeat(net.marginal_var(batch.t), len(state) // b)[:, None]
+    resid = (out - state) / m - score._state_rows(target)
+    d = 2.0 * resid / m / b
+    grads = []
+    for i in range(len(params) - 1, 0, -1):
+        grads.append((acts[i].T @ d, d.sum(axis=0)))
+        d = (d @ params[i][0].T) * (1.0 - acts[i] ** 2)
+    per_item = d.reshape(b, -1, d.shape[1]).sum(axis=1)
+    grads.append((np.concatenate([state.T @ d, tf.T @ per_item]), d.sum(axis=0)))
+    return float(np.sum(resid**2) / b), grads[::-1]
+
+
+def _random_batch(shape, rng):
+    t = rng.uniform(SCHED.t_min, 1.0, shape[0])
+    return score.TrainBatch(s0=sde.complex_randn(shape, rng), t=t, zeta=sde.complex_randn(shape, rng))
+
+
+# (items, bins, frames); EVAL_BLOCK is 2048 points
+BATCHES = {
+    "one block": (3, 4, 4),
+    "4 items per block": (16, 16, 32),
+    "ragged last block": (5, 4, 175),  # 700 points: blocks of 2, 2 and 1 items
+    "item = block": (3, 2048, 1),
+    "chunked items": (3, 4, 1100),  # 4400 points: chunks of 2048, 2048 and 304
+}
+
+
+@pytest.mark.parametrize("hidden", [(8,), (32, 32)], ids=["1 hidden", "2 hidden"])
+@pytest.mark.parametrize("shape", BATCHES)
+def test_blocked_gradient_matches_unblocked_formula(shape, hidden):
+    rng = np.random.default_rng(len(hidden))
+    net = ToyScoreNet(hidden=hidden, seed=2, sched=SCHED)
+    net.params = [(W, rng.standard_normal(b.shape).astype(np.float32)) for W, b in net.params]
+    batch = _random_batch(BATCHES[shape], rng)
+    loss, grads = dsm_loss_and_grad(net, batch, SCHED)
+    ref_loss, ref_grads = _unblocked_loss_and_grad(net, batch)
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    assert len(grads) == len(ref_grads)
+    for pair, ref_pair in zip(grads, ref_grads):
+        for g, ref in zip(pair, ref_pair):
+            assert g.shape == ref.shape
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_gradient_pass_peak_memory_at_cli_default_shape():
+    # `diffenh train --data` defaults: --batch 16, 256 bins, --patch-frames 256.
+    # A pass holding every layer for all 1,048,576 points at once peaks near
+    # 1.6 GB; a blocked one holds the batch's perturbed state and target
+    # (16 MB each) plus one block of activations.
+    net = ToyScoreNet(sched=SCHED)
+    batch = _random_batch((16, 256, 256), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        dsm_loss_and_grad(net, batch, SCHED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_train_zero_epochs_leaves_parameters():
