@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -51,36 +50,39 @@ def _fmt(prog):
     return argparse.ArgumentDefaultsHelpFormatter(prog, width=100)
 
 
-def _add_schedule_flags(p, overridable=False):
-    if overridable:
-        # None means "take the checkpoint's value"; explicit disagreement errors
-        p.add_argument("--gamma", type=float, default=None, help="mean-decay rate (default: from checkpoint)")
-        p.add_argument("--sigma-min", type=float, default=None, help="minimum noise scale (default: from checkpoint)")
-        p.add_argument("--sigma-max", type=float, default=None, help="maximum noise scale (default: from checkpoint)")
-        p.add_argument("--t-min", type=float, default=None, help="minimum process time (default: from checkpoint)")
-    else:
-        p.add_argument("--gamma", type=float, default=1.5, help="mean-decay rate")
-        p.add_argument("--sigma-min", type=float, default=0.05, help="minimum noise scale")
-        p.add_argument("--sigma-max", type=float, default=0.5, help="maximum noise scale")
-        p.add_argument("--t-min", type=float, default=0.03, help="minimum process time")
+def _add_schedule_flags(p):
+    S = sde.SdeSchedule
+    p.add_argument("--gamma", type=float, default=S.gamma, help="mean-decay rate")
+    p.add_argument("--sigma-min", type=float, default=S.sigma_min, help="minimum noise scale")
+    p.add_argument("--sigma-max", type=float, default=S.sigma_max, help="maximum noise scale")
+    p.add_argument("--t-min", type=float, default=S.t_min, help="minimum process time")
 
 
 def _add_stft_flags(p):
-    p.add_argument("--window-len", type=int, default=510, help="analysis window length in samples")
-    p.add_argument("--hop", type=int, default=128, help="hop length in samples")
-    p.add_argument("--alpha", type=float, default=0.5, help="amplitude compression exponent")
-    p.add_argument("--beta", type=float, default=0.15, help="amplitude compression scale")
+    S = signal.StftConfig
+    p.add_argument("--window-len", type=int, default=S.window_len,
+                   help="analysis window length in samples")
+    p.add_argument("--hop", type=int, default=S.hop, help="hop length in samples")
+    p.add_argument("--alpha", dest="compress_alpha", metavar="ALPHA", type=float,
+                   default=S.compress_alpha, help="amplitude compression exponent")
+    p.add_argument("--beta", dest="compress_beta", metavar="BETA", type=float,
+                   default=S.compress_beta, help="amplitude compression scale")
 
 
 def _add_enhance_flags(p):
-    p.add_argument("--em-iters", type=int, default=5, help="EM iterations (K)")
-    p.add_argument("--reverse-steps", type=int, default=30, help="reverse sampling steps (N)")
-    p.add_argument("--posterior-every", type=int, default=2, help="posterior update stride (ell)")
-    p.add_argument("--lambda", dest="guidance_weight", type=float, default=1.5,
+    E = EnhancementConfig
+    p.add_argument("--em-iters", type=int, default=E.em_iters, help="EM iterations (K)")
+    p.add_argument("--reverse-steps", type=int, default=E.reverse_steps,
+                   help="reverse sampling steps (N)")
+    p.add_argument("--posterior-every", type=int, default=E.posterior_every,
+                   help="posterior update stride (ell)")
+    p.add_argument("--lambda", dest="guidance_weight", type=float, default=E.guidance_weight,
                    help="posterior guidance weight")
-    p.add_argument("--nmf-rank", type=int, default=4, help="noise model rank (r)")
-    p.add_argument("--batch", type=int, default=4, help="posterior chains averaged per E-step (b)")
-    p.add_argument("--nmf-updates", type=int, default=20, help="multiplicative updates per M-step")
+    p.add_argument("--nmf-rank", type=int, default=E.nmf_rank, help="noise model rank (r)")
+    p.add_argument("--batch", type=int, default=E.batch,
+                   help="posterior chains averaged per E-step (b)")
+    p.add_argument("--nmf-updates", dest="nmf_inner_updates", metavar="NMF_UPDATES", type=int,
+                   default=E.nmf_inner_updates, help="multiplicative updates per M-step")
 
 
 def _hidden_widths(text: str) -> tuple[int, ...]:
@@ -115,14 +117,18 @@ def build_parser() -> _Parser:
                    help="continue training from a checkpoint (its schedule and architecture win)")
     p.add_argument("--hidden", type=_hidden_widths, default="32,32",
                    help="comma-separated hidden layer widths")
-    p.add_argument("--lr", type=float, default=0.0001, help="learning rate")
-    p.add_argument("--lr-decay", choices=["constant", "cosine"], default="constant",
+    T = score.TrainConfig
+    p.add_argument("--lr", type=float, default=T.lr, help="learning rate")
+    p.add_argument("--lr-decay", choices=["constant", "cosine"], default=T.lr_decay,
                    help="learning-rate schedule")
-    p.add_argument("--batch", type=int, default=16, help="training batch size")
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int, default=T.batch_size,
+                   help="training batch size")
     p.add_argument("--epochs", type=int, default=10, help="training epochs")
-    p.add_argument("--steps-per-epoch", type=int, default=100, help="optimizer steps per epoch")
-    p.add_argument("--patch-frames", type=int, default=256, help="frames per training patch")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--steps-per-epoch", type=int, default=T.steps_per_epoch,
+                   help="optimizer steps per epoch")
+    p.add_argument("--patch-frames", type=int, default=T.patch_frames,
+                   help="frames per training patch")
+    p.add_argument("--seed", type=int, default=T.seed, help="master seed")
     _add_schedule_flags(p)
     _add_stft_flags(p)
     p.set_defaults(func=cmd_train)
@@ -136,11 +142,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="enhanced WAV path to write")
     p.add_argument("--clean", help="reference WAV; adds a metric report")
     p.add_argument("--report", help="write the metric report as JSON here")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--force", action="store_true",
-                   help="on schedule mismatch with the checkpoint, use the checkpoint schedule")
+    p.add_argument("--seed", type=int, default=EnhancementConfig.seed, help="master seed")
     _add_enhance_flags(p)
-    _add_schedule_flags(p, overridable=True)
     _add_stft_flags(p)
     p.set_defaults(func=cmd_enhance)
 
@@ -154,7 +157,8 @@ def build_parser() -> _Parser:
     p.add_argument("--bins", type=int, default=None,
                    help="spectrogram bins (default: the STFT bin count)")
     p.add_argument("--frames", type=int, default=128, help="spectrogram frames")
-    p.add_argument("--reverse-steps", type=int, default=30, help="reverse sampling steps (N)")
+    p.add_argument("--reverse-steps", dest="n_steps", metavar="REVERSE_STEPS", type=int,
+                   default=SamplerConfig.n_steps, help="reverse sampling steps (N)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     _add_stft_flags(p)
     p.set_defaults(func=cmd_sample)
@@ -180,7 +184,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=128, help="synthetic utterance frames")
     p.add_argument("--snrs", default="-5,0,5", help="comma-separated mixture SNRs in dB")
     p.add_argument("--jobs", type=int, default=1, help="concurrent utterances")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=int, default=EnhancementConfig.seed, help="master seed")
     p.add_argument("--report", help="write the aggregate report as JSON here")
     _add_enhance_flags(p)
     _add_stft_flags(p)
@@ -210,7 +214,7 @@ def _config_tokens(path) -> list[str]:
         elif value.lower() == "false":
             continue
         else:
-            tokens.extend([flag, value])
+            tokens.append(f"{flag}={value}")  # one token, so a value like -5,0,5 is no flag
     return tokens
 
 
@@ -238,17 +242,11 @@ def _merge_config(argv: list[str]) -> list[str]:
 # shared helpers
 
 
-def _stft_config(args) -> signal.StftConfig:
-    return signal.StftConfig(
-        window_len=args.window_len, hop=args.hop,
-        compress_alpha=args.alpha, compress_beta=args.beta,
-    )
-
-
-def _schedule(args) -> sde.SdeSchedule:
-    return sde.SdeSchedule(
-        gamma=args.gamma, sigma_min=args.sigma_min, sigma_max=args.sigma_max, t_min=args.t_min
-    )
+def _config(cls, args, **overrides):
+    """cls built from the parsed flags whose dest is one of its fields; the
+    fields no flag of the command sets keep their dataclass defaults."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+    return cls(**{**values, **overrides})
 
 
 def _load_checkpoint(path):
@@ -266,39 +264,6 @@ def _load_wav(path) -> signal.Waveform:
     if w.sample_rate != 16000:
         raise _IoError(f"{path}: pipeline expects 16 kHz input, got {w.sample_rate} Hz")
     return w
-
-
-def _resolve_schedule(args, ckpt_sched) -> sde.SdeSchedule:
-    """Flags may pin schedule values; disagreement with the checkpoint errors
-    unless --force hands the decision to the checkpoint."""
-    requested = {
-        "gamma": args.gamma, "sigma_min": args.sigma_min,
-        "sigma_max": args.sigma_max, "t_min": args.t_min,
-    }
-    mismatches = [
-        f"{name}: flag {value} != checkpoint {getattr(ckpt_sched, name)}"
-        for name, value in requested.items()
-        if value is not None and not math.isclose(value, getattr(ckpt_sched, name))
-    ]
-    if mismatches and not args.force:
-        raise _UsageError(
-            "schedule mismatch with checkpoint (pass --force to use the checkpoint): "
-            + "; ".join(mismatches)
-        )
-    return ckpt_sched
-
-
-def _enhancement_config(args) -> EnhancementConfig:
-    return EnhancementConfig(
-        em_iters=args.em_iters,
-        reverse_steps=args.reverse_steps,
-        posterior_every=args.posterior_every,
-        guidance_weight=args.guidance_weight,
-        nmf_rank=args.nmf_rank,
-        batch=args.batch,
-        seed=args.seed,
-        nmf_inner_updates=args.nmf_updates,
-    )
 
 
 def _check_nmf_rank(rank: int, n_samples: int, what: str, stft_cfg: signal.StftConfig):
@@ -338,8 +303,8 @@ def cmd_train(args) -> int:
         _check_at_least(1, ("--items", args.items), ("--bins", args.bins),
                         ("--frames", args.frames))
     print(f"# seed={args.seed}")
-    sched = _schedule(args)
-    stft_cfg = _stft_config(args)
+    sched = _config(sde.SdeSchedule, args)
+    stft_cfg = _config(signal.StftConfig, args)
     if args.resume:
         model, sched = _load_checkpoint(args.resume)
     else:
@@ -354,12 +319,8 @@ def cmd_train(args) -> int:
         dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
     else:
         raise _UsageError("train needs --data DIR or --synthetic gaussian")
-    cfg = score.TrainConfig(
-        lr=args.lr, batch_size=args.batch, epochs=args.epochs,
-        steps_per_epoch=args.steps_per_epoch,
-        patch_frames=min(args.patch_frames, min(d.shape[1] for d in dataset)),
-        lr_decay=args.lr_decay, seed=args.seed,
-    )
+    cfg = _config(score.TrainConfig, args,
+                  patch_frames=min(args.patch_frames, min(d.shape[1] for d in dataset)))
     model, history = score.train(model, dataset, cfg, sched)
     for epoch, loss in enumerate(history, 1):
         print(f"epoch {epoch}: loss {loss:.6f}")
@@ -370,17 +331,16 @@ def cmd_train(args) -> int:
 
 def cmd_enhance(args) -> int:
     print(f"# seed={args.seed}")
-    model, ckpt_sched = _load_checkpoint(args.ckpt)
-    sched = _resolve_schedule(args, ckpt_sched)
+    model, sched = _load_checkpoint(args.ckpt)
     noisy = _load_wav(args.input)
     clean = _load_wav(args.clean) if args.clean else None
     if clean is not None and len(clean) != len(noisy):
         raise _UsageError(
             f"length mismatch: --input has {len(noisy)} samples, --clean has {len(clean)}"
         )
-    stft_cfg = _stft_config(args)
+    stft_cfg = _config(signal.StftConfig, args)
     _check_nmf_rank(args.nmf_rank, len(noisy), "--input", stft_cfg)
-    enhanced = enhance_waveform(noisy, model, sched, stft_cfg, _enhancement_config(args))
+    enhanced = enhance_waveform(noisy, model, sched, stft_cfg, _config(EnhancementConfig, args))
     signal.save_wav(args.output, enhanced)
     print(f"wrote {args.output}")
     if clean is not None:
@@ -400,11 +360,10 @@ def cmd_sample(args) -> int:
         _check_at_least(1, ("--bins", args.bins))
     print(f"# seed={args.seed}")
     model, sched = _load_checkpoint(args.ckpt)
-    stft_cfg = _stft_config(args)
+    stft_cfg = _config(signal.StftConfig, args)
     bins = args.bins if args.bins is not None else stft_cfg.f_bins
-    cfg = SamplerConfig(n_steps=args.reverse_steps)
     rng = np.random.default_rng(args.seed)
-    spec = unconditional_sample((bins, args.frames), model, sched, cfg, rng)
+    spec = unconditional_sample((bins, args.frames), model, sched, _config(SamplerConfig, args), rng)
     if args.dump_spec:
         signal.dump_spectrogram(args.dump_spec, spec)
         print(f"wrote {args.dump_spec}")
@@ -421,7 +380,7 @@ def cmd_sample(args) -> int:
 
 def cmd_validate_sde(args) -> int:
     _check_at_least(1, ("--ode-steps", args.ode_steps))
-    err = sde.variance_ode_error(_schedule(args), n_steps=args.ode_steps)
+    err = sde.variance_ode_error(_config(sde.SdeSchedule, args), n_steps=args.ode_steps)
     verdict = "PASS" if err < ODE_TOLERANCE else "FAIL"
     print(f"max relative error = {err:.3e} (tolerance {ODE_TOLERANCE:.0e}): {verdict}")
     return EXIT_OK if verdict == "PASS" else EXIT_VALIDATION
@@ -451,7 +410,8 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
 
 
 def cmd_benchmark(args) -> int:
-    stft_cfg = _stft_config(args)
+    _check_at_least(1, ("--jobs", args.jobs))
+    stft_cfg = _config(signal.StftConfig, args)
     if args.synthetic:
         # a synthetic utterance has (frames - 1) * hop samples, known before sampling
         _check_at_least(1, ("--utterances", args.utterances))
@@ -474,15 +434,12 @@ def cmd_benchmark(args) -> int:
     def _run(task):
         index, label, clean, noise, snr = task
         noisy, _ = signal.mix_at_snr(clean, noise, snr, seed=args.seed + index)
-        cfg = dataclasses.replace(_enhancement_config(args), seed=args.seed + index)
+        cfg = _config(EnhancementConfig, args, seed=args.seed + index)
         enhanced = enhance_waveform(noisy, model, sched, stft_cfg, cfg)
         return metrics.evaluate_pair(noisy, enhanced, clean)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_run, tasks))
-    else:
-        reports = [_run(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        reports = list(pool.map(_run, tasks))
     labels = [t[1] for t in tasks]
     for label, rep in zip(labels, reports):
         print(f"{label}: in {rep.input_si_sdr:+.2f} dB out {rep.si_sdr:+.2f} dB "

@@ -116,13 +116,8 @@ def enhance_spectrogram(
     model,
     sched: SdeSchedule,
     cfg: EnhancementConfig,
-    v_phi_override: np.ndarray | None = None,
 ) -> EnhancementResult:
     """Run the EM loop on a mixture spectrogram.
-
-    With v_phi_override set, the noise variance is held fixed at the given
-    grid and the M-step is skipped (used by the conjugate-posterior oracle
-    tests and for known-noise experiments).
 
     An all-zero mixture holds neither speech nor noise to fit: the estimate
     is all zeros, the noise factors sit at their floor and no iteration runs
@@ -144,14 +139,12 @@ def enhance_spectrogram(
     trace = []
     s_hat = None
     for k in range(cfg.em_iters):
-        v_phi = params.variance() if v_phi_override is None else v_phi_override
         seeds = chain_seeds[k * cfg.batch : (k + 1) * cfg.batch]
-        chains = _run_chains(x, model, sched, scfg, v_phi, seeds)
+        chains = _run_chains(x, model, sched, scfg, params.variance(), seeds)
         s_hat = np.mean(chains, axis=0)
         entry = {"residual_power": float(np.mean(np.abs(x - s_hat) ** 2))}
-        if v_phi_override is None:
-            params = m_step(x, s_hat, params, cfg.nmf_inner_updates)
-            entry["m_step_objective"] = is_objective(np.abs(x - s_hat) ** 2, params)
+        params = m_step(x, s_hat, params, cfg.nmf_inner_updates)
+        entry["m_step_objective"] = is_objective(np.abs(x - s_hat) ** 2, params)
         trace.append(entry)
     return EnhancementResult(s_hat=s_hat, nmf=params, trace=trace)
 

@@ -442,15 +442,16 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
             else:
                 lr = cfg.lr
             model.step += 1
-            k = model.step
             flat_params = [a for pair in model.params for a in pair]
             flat_grads = [g for pair in grads for g in pair]
             new_flat = []
             for p, g, m, v in zip(flat_params, flat_grads, m_state, v_state):
                 m[:] = b1 * m + (1 - b1) * g
                 v[:] = b2 * v + (1 - b2) * g**2
-                hat = m / (1 - b1**k)
-                step = lr * hat / (np.sqrt(v / (1 - b2**k)) + eps)
+                # the moments restart at zero in every call, so their bias
+                # correction counts this call's steps, not model.step
+                hat = m / (1 - b1**done)
+                step = lr * hat / (np.sqrt(v / (1 - b2**done)) + eps)
                 new_flat.append((p - step).astype(model.dtype))
             model.params = list(zip(new_flat[::2], new_flat[1::2]))
             model.update_ema()

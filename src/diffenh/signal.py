@@ -193,14 +193,12 @@ def save_wav(path, w: Waveform):
 
 
 def dump_spectrogram(path, spec: np.ndarray):
-    """Debug dump: u32-LE header (F, T), then interleaved (re, im) float64, row-major."""
+    """Debug dump: u32-LE header (F, T), then little-endian complex128
+    (interleaved re, im float64), row-major."""
     f, t = spec.shape
     with open(path, "wb") as fh:
         fh.write(np.asarray([f, t], dtype="<u4").tobytes())
-        inter = np.empty((f, t, 2))
-        inter[:, :, 0] = spec.real
-        inter[:, :, 1] = spec.imag
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(np.asarray(spec, dtype="<c16").tobytes())
 
 
 def load_spectrogram(path) -> np.ndarray:
@@ -209,8 +207,8 @@ def load_spectrogram(path) -> np.ndarray:
         if len(head) < 8:
             raise ValueError(f"{path}: truncated grid header")
         f, t = (int(v) for v in np.frombuffer(head, dtype="<u4"))
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    if body.size != 2 * f * t:
-        raise ValueError(f"{path}: expected {2 * f * t} values, found {body.size}")
-    inter = body.reshape(f, t, 2)
-    return inter[:, :, 0] + 1j * inter[:, :, 1]
+        body = fh.read()
+    if len(body) != 16 * f * t:
+        raise ValueError(f"{path}: expected {16 * f * t} bytes of {f}x{t} complex128 values "
+                         f"after the header, found {len(body)}")
+    return np.frombuffer(body, dtype="<c16").reshape(f, t).astype(np.complex128)

@@ -153,15 +153,33 @@ def test_enhance_rejects_wrong_sample_rate(tiny_ckpt, tmp_path, capsys):
     assert "16 kHz" in capsys.readouterr().err
 
 
-def test_enhance_schedule_mismatch(tiny_ckpt, tmp_path, capsys):
+def test_enhance_takes_its_schedule_from_the_checkpoint(tmp_path, capsys):
+    from diffenh import score
+    from diffenh.em import EnhancementConfig, enhance_waveform
+
+    ckpt = tmp_path / "gamma2.bin"
+    assert cli.main(
+        ["train", "--synthetic", "gaussian", "--out", str(ckpt), "--gamma", "2.0",
+         "--items", "2", "--bins", "8", "--frames", "16", "--patch-frames", "8",
+         "--hidden", "8", "--epochs", "1", "--steps-per-epoch", "2"]
+    ) == cli.EXIT_OK
     noisy_path, _ = _write_noisy(tmp_path)
-    args = [
-        "enhance", "--input", str(noisy_path), "--ckpt", str(tiny_ckpt),
-        "--output", str(tmp_path / "o.wav"), "--gamma", "9.0", *FAST_ENHANCE,
-    ]
-    assert cli.main(args) == cli.EXIT_USAGE
-    assert "schedule mismatch" in capsys.readouterr().err
-    assert cli.main(args + ["--force"]) == cli.EXIT_OK
+    out_path = tmp_path / "o.wav"
+    args = ["enhance", "--input", str(noisy_path), "--ckpt", str(ckpt),
+            "--output", str(out_path), *FAST_ENHANCE]
+    assert cli.main(args) == cli.EXIT_OK
+    model, sched = score.load_checkpoint(ckpt)
+    assert sched.gamma == 2.0
+    expected = enhance_waveform(signal.load_wav(noisy_path), model, sched,
+                                signal.StftConfig(window_len=64, hop=16),
+                                EnhancementConfig(em_iters=1, reverse_steps=4, batch=1))
+    expected_path = tmp_path / "expected.wav"
+    signal.save_wav(expected_path, expected)
+    assert np.array_equal(signal.load_wav(out_path).samples, signal.load_wav(expected_path).samples)
+    capsys.readouterr()
+    # the schedule is the checkpoint's: enhance has no flag to set it
+    assert cli.main(args + ["--gamma", "2.0"]) == cli.EXIT_USAGE
+    assert "--gamma" in capsys.readouterr().err
 
 
 def test_sample_writes_wav_and_dump(tiny_ckpt, tmp_path, capsys):
@@ -198,6 +216,13 @@ def test_config_file_merge_explicit_flags_win(tiny_ckpt, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "# seed=9" in out  # explicit flag beats the config value
     assert signal.load_spectrogram(dump).shape == (33, 8)
+
+
+def test_config_value_may_start_with_a_dash(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("snrs = -5,0,5\n")
+    argv = cli._merge_config(["benchmark", "--config", str(cfg), "--ckpt", "c.bin"])
+    assert cli.build_parser().parse_args(argv).snrs == "-5,0,5"
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -401,6 +426,10 @@ NOTHING_TO_DO_CASES = [
     ("train --hidden 8,,8", "train " + _FAST_TRAIN + " --hidden 8,,8 --out {out}", "--hidden"),
     ("train --hidden 2.5", "train " + _FAST_TRAIN + " --hidden 2.5 --out {out}", "--hidden"),
     ("train --hidden wide", "train " + _FAST_TRAIN + " --hidden wide --out {out}", "--hidden"),
+    ("benchmark --jobs 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs 0 --jobs 0 --report {out} " + _FAST, "--jobs"),
+    ("benchmark --jobs -3", "benchmark --ckpt {ckpt} --clean-dir {out} --noise-dir {out} "
+     "--jobs -3 " + _FAST, "--jobs"),
 ]
 
 

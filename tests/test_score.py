@@ -355,6 +355,23 @@ def test_train_smoke():
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 0.5
 
 
+def test_resumed_training_takes_a_fresh_first_adam_step():
+    # Adam's moments start at zero in every train call, so one step from the
+    # same weights must not depend on how many steps the model took before
+    rng = np.random.default_rng(2)
+    prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
+    ds = [prior.sample((4, 16), rng) for _ in range(2)]
+    cfg = TrainConfig(lr=1e-3, batch_size=2, steps_per_epoch=1, patch_frames=8)
+    fresh = ToyScoreNet(hidden=(8,), seed=3, sched=SCHED)
+    resumed = ToyScoreNet(hidden=(8,), seed=3, sched=SCHED)
+    resumed.step = 1000
+    train(fresh, ds, cfg, SCHED)
+    train(resumed, ds, cfg, SCHED)
+    assert (fresh.step, resumed.step) == (1, 1001)
+    for (W, b), (W2, b2) in zip(fresh.params, resumed.params):
+        assert np.array_equal(W, W2) and np.array_equal(b, b2)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
