@@ -266,6 +266,14 @@ def _load_wav(path) -> signal.Waveform:
     return w
 
 
+def _save_wav(path, w: signal.Waveform):
+    clipped = signal.save_wav(path, w)
+    if clipped:
+        print(f"diffenh: warning: {path}: clipped {clipped} of {len(w)} samples to [-1, 1]",
+              file=sys.stderr)
+    print(f"wrote {path}")
+
+
 def _check_nmf_rank(rank: int, n_samples: int, what: str, stft_cfg: signal.StftConfig):
     """The noise factors cannot have more components than the grid has
     frames or bins; say so before any work is done."""
@@ -341,8 +349,7 @@ def cmd_enhance(args) -> int:
     stft_cfg = _config(signal.StftConfig, args)
     _check_nmf_rank(args.nmf_rank, len(noisy), "--input", stft_cfg)
     enhanced = enhance_waveform(noisy, model, sched, stft_cfg, _config(EnhancementConfig, args))
-    signal.save_wav(args.output, enhanced)
-    print(f"wrote {args.output}")
+    _save_wav(args.output, enhanced)
     if clean is not None:
         report = metrics.evaluate_pair(noisy, enhanced, clean)
         sys.stdout.write(report.as_lines())
@@ -373,8 +380,7 @@ def cmd_sample(args) -> int:
                 f"cannot synthesize audio from {bins} bins with window_len {stft_cfg.window_len}"
             )
         out_len = (args.frames - 1) * stft_cfg.hop
-        signal.save_wav(args.output, signal.istft(spec, stft_cfg, out_len))
-        print(f"wrote {args.output}")
+        _save_wav(args.output, signal.istft(spec, stft_cfg, out_len))
     return EXIT_OK
 
 

@@ -24,8 +24,9 @@ DEFAULT_EMB_FREQS = (0.5, 1.0, 2.0, 4.0)
 
 # grid points pushed through the net at a time, by ToyScoreNet.evaluate and
 # by the training pass dsm_loss_and_grad alike; each block's activations
-# (EVAL_BLOCK x width float64, 512 KB at width 32) stay in the per-core L2
-# cache instead of streaming full-grid layers through memory
+# (EVAL_BLOCK x width, 256 KB at width 32 in float32 and 512 KB in float64)
+# stay in the per-core L2 cache instead of streaming full-grid layers
+# through memory
 EVAL_BLOCK = 2048
 
 
@@ -146,8 +147,8 @@ def _time_features(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.concatenate([t[:, None], np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _as_float64(params) -> list:
-    return [(W.astype(np.float64, copy=False), b.astype(np.float64, copy=False)) for W, b in params]
+def _as_dtype(params, dtype) -> list:
+    return [(W.astype(dtype, copy=False), b.astype(dtype, copy=False)) for W, b in params]
 
 
 def _state_rows(s: np.ndarray) -> np.ndarray:
@@ -174,9 +175,13 @@ class ToyScoreNet(ScoreModel):
     item) share this forward pass, and both walk their points in blocks of
     at most EVAL_BLOCK so the activations stay in cache.
 
-    Parameters are kept in float32 so checkpoints round-trip bit-exactly and
-    are cast to float64 for every computation; a float64 instance is
-    available for finite-difference tests.
+    dtype is the compute dtype of evaluate: a loaded checkpoint or a default
+    net (float32) runs its weights, time bias, input rows and activations in
+    float32, and a float64 net, as the finite-difference tests build, in
+    float64.  The residual map (u - s) / m(t) is always float64, so float32
+    rounding of u is never amplified by a small m(t).  Parameters are stored
+    in dtype, so checkpoints round-trip bit-exactly; the training pass
+    computes in float64 whatever the dtype.
     """
 
     def __init__(
@@ -214,11 +219,11 @@ class ToyScoreNet(ScoreModel):
 
     @staticmethod
     def _forward(params, state, bias, outs=None):
-        """Network output for (n, 2) float64 (re, im) rows.
+        """Network output for (n, 2) (re, im) rows in the dtype of params.
 
         bias holds the first-layer time bias, one row per item; the n rows
         split evenly among the items, in order.  outs, if given, holds one
-        (n, width) float64 array per layer to compute into.  Returns the
+        (n, width) array of that dtype per layer to compute into.  Returns the
         output and the activations [state, h1, ..., output] for backprop.
         """
         acts = [state]
@@ -249,21 +254,24 @@ class ToyScoreNet(ScoreModel):
 
     def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
         # weights are cast here, not cached: callers may replace ema_params
-        params = _as_float64(self.ema_params)
-        _, bias = self._time_bias(params, float(t))
+        dt = self.dtype
+        params = _as_dtype(self.ema_params, dt)
+        bias = self._time_bias(params, float(t))[1].astype(dt, copy=False)
         m = self.marginal_var(float(t))[0]
         state = _state_rows(s_t)
         n = len(state)
         score = np.empty(n, dtype=np.complex128)
         rows = score.view(np.float64).reshape(n, 2)
         block = min(n, EVAL_BLOCK)
-        scratch = [np.empty((block, W.shape[1])) for W, _ in params[:-1]]
+        outs = [np.empty((block, W.shape[1]), dt) for W, _ in params]
         for lo in range(0, n, EVAL_BLOCK):
             hi = min(lo + EVAL_BLOCK, n)
-            u = rows[lo:hi]
-            self._forward(params, state[lo:hi], bias, [a[: hi - lo] for a in scratch] + [u])
-            u -= state[lo:hi]
-            u /= m
+            x = state[lo:hi]
+            u, _ = self._forward(params, x.astype(dt, copy=False), bias,
+                                 [a[: hi - lo] for a in outs])
+            # the residual map in float64: float32 rounding of u is not divided by m
+            np.subtract(u, x, out=rows[lo:hi])
+            rows[lo:hi] /= m
         return score.reshape(s_t.shape)
 
     def update_ema(self):
@@ -309,11 +317,19 @@ def make_train_batch(
     return TrainBatch(s0=s0, t=t, zeta=complex_randn(s0.shape, rng))
 
 
-def _batch_terms(batch: TrainBatch, sched: SdeSchedule):
+def _batch_coeffs(batch: TrainBatch, sched: SdeSchedule):
+    """Per-item delta_t and sigma(t): the perturbed state is
+    delta_t * s0 + sigma(t) * zeta and the target is -zeta / sigma(t)."""
     if np.any(batch.t < sched.t_min) or np.any(batch.t > 1.0):
         raise ValueError("training times must lie in [t_min, 1]")
     delta = np.exp(-sched.gamma * batch.t)
     sig = np.sqrt([kernel_moments(float(tt), sched).var for tt in batch.t])
+    return delta, sig
+
+
+def _batch_terms(batch: TrainBatch, sched: SdeSchedule):
+    """The perturbed state and the target of the whole batch."""
+    delta, sig = _batch_coeffs(batch, sched)
     s_t = delta[:, None, None] * batch.s0 + sig[:, None, None] * batch.zeta
     target = -batch.zeta / sig[:, None, None]
     return s_t, target
@@ -341,14 +357,17 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
     item.  Residuals and deltas are computed in place in per-layer buffers;
     the weight, bias and per-item time-row gradients are summed over blocks.
     """
-    s_t, target = _batch_terms(batch, sched)
-    b = s_t.shape[0]
-    params = _as_float64(model.params)
-    state = _state_rows(s_t)
-    target = _state_rows(target)
+    delta, sig = _batch_coeffs(batch, sched)
+    # numpy divides a complex array by a real one as a product with the
+    # reciprocal, so the target rows below equal -zeta / sigma bit for bit
+    neg_inv_sig = -1.0 / sig
+    b = len(batch.t)
+    params = _as_dtype(model.params, np.float64)
+    s0 = _state_rows(batch.s0)
+    zeta = _state_rows(batch.zeta)
     tf, bias = model._time_bias(params, batch.t)
     m = model.marginal_var(batch.t)
-    n = len(state) // b
+    n = len(s0) // b
     per_block = min(b, max(1, EVAL_BLOCK // n))  # whole items per block; 1 when chunking
     rows = min(per_block * n, EVAL_BLOCK)
     acts = [np.empty((rows, W.shape[1])) for W, _ in params]
@@ -362,13 +381,17 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
         scale = m[i:j, None, None]
         for lo in range(i * n, j * n, rows):
             hi = min(lo + rows, j * n)
-            x = state[lo:hi]
+            # this block's perturbed state and target, item by item, so no
+            # batch-sized copy of either is ever built
+            z = zeta[lo:hi].reshape(j - i, -1, 2)
+            x = delta[i:j, None, None] * s0[lo:hi].reshape(z.shape) + sig[i:j, None, None] * z
+            x, target = x.reshape(-1, 2), (neg_inv_sig[i:j, None, None] * z).reshape(-1, 2)
             u, blk = model._forward(params, x, bias[i:j], [buf[: hi - lo] for buf in acts])
             # residual (u - s) / m - target, then its delta 2 * resid / m / b
             u_items = u.reshape(j - i, -1, 2)
             u -= x
             u_items /= scale
-            u -= target[lo:hi]
+            u -= target
             loss += float(np.vdot(u, u))
             u *= 2.0
             u_items /= scale

@@ -184,12 +184,16 @@ def load_wav(path) -> Waveform:
         samples = data.astype(np.float64)
     else:
         raise ValueError(f"{path}: unsupported sample format {data.dtype}, need PCM16 or float32")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{path}: waveform contains non-finite samples")
     return Waveform(samples, int(rate))
 
 
-def save_wav(path, w: Waveform):
-    """Write a mono float32 WAV, clipping to [-1, 1]."""
+def save_wav(path, w: Waveform) -> int:
+    """Write a mono float32 WAV, clipping to [-1, 1]; returns the number of
+    samples clipped."""
     wavfile.write(path, w.sample_rate, np.clip(w.samples, -1.0, 1.0).astype(np.float32))
+    return int(np.count_nonzero(np.abs(w.samples) > 1.0))
 
 
 def dump_spectrogram(path, spec: np.ndarray):

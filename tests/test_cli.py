@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -472,3 +473,57 @@ def test_checkpoint_with_unknown_diffusion_code_is_malformed(tiny_ckpt, tmp_path
     assert rc == cli.EXIT_IO
     assert "diffusion-coefficient code 1" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_enhance_non_finite_input_is_io_error_naming_the_path(bad, tiny_ckpt, tmp_path, capsys):
+    from scipy.io import wavfile
+
+    path = tmp_path / "bad.wav"
+    wavfile.write(path, 16000, np.array([0.1, bad, 0.2] * 100, dtype=np.float32))
+    out_path = tmp_path / "o.wav"
+    rc = cli.main(["enhance", "--input", str(path), "--ckpt", str(tiny_ckpt),
+                   "--output", str(out_path), *FAST_ENHANCE])
+    assert rc == cli.EXIT_IO
+    assert f"{path}: waveform contains non-finite samples" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def _enhance_noise_args(tmp_path):
+    path = tmp_path / "noise.wav"
+    signal.save_wav(path, signal.Waveform(0.3 * np.random.default_rng(3).standard_normal(2000),
+                                          16000))
+    return ["enhance", "--input", str(path), *FAST_ENHANCE]
+
+
+def _enhance_silence_args(tmp_path):
+    path = tmp_path / "silent.wav"
+    signal.save_wav(path, signal.Waveform(np.zeros(2000), 16000))
+    return ["enhance", "--input", str(path), *FAST_ENHANCE]
+
+
+SAMPLE_ARGS = ["sample", "--frames", "8", "--reverse-steps", "4", "--window-len", "64",
+               "--hop", "16"]
+
+# (id, argv builder, whether the tiny prior's output exceeds [-1, 1])
+CLIP_CASES = [
+    ("enhance loud", _enhance_noise_args, True),
+    ("enhance silent", _enhance_silence_args, False),
+    ("sample loud", lambda tmp_path: SAMPLE_ARGS, True),
+    # no compression and a large beta scale the sample far below full scale
+    ("sample quiet", lambda tmp_path: SAMPLE_ARGS + ["--alpha", "1", "--beta", "100"], False),
+]
+
+
+@pytest.mark.parametrize("make_args,clips", [c[1:] for c in CLIP_CASES],
+                         ids=[c[0] for c in CLIP_CASES])
+def test_clipped_output_samples_are_reported(make_args, clips, tiny_ckpt, tmp_path, capsys):
+    out_path = tmp_path / "o.wav"
+    argv = make_args(tmp_path) + ["--ckpt", str(tiny_ckpt), "--output", str(out_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    if clips:
+        assert re.search(rf"{re.escape(str(out_path))}: clipped [1-9]\d* of \d+ samples", err)
+    else:
+        assert "clipped" not in err
+    assert np.max(np.abs(signal.load_wav(out_path).samples)) <= 1.0

@@ -105,22 +105,71 @@ GRIDS = {
 }
 
 
-@pytest.mark.parametrize("hidden", [(8,), (32, 32)], ids=["1 hidden", "2 hidden"])
-@pytest.mark.parametrize("grid", GRIDS)
-def test_evaluate_matches_feature_matrix_formula(grid, hidden):
+def _net_and_state(grid, hidden, dtype):
     rng = np.random.default_rng(len(hidden))
-    net = ToyScoreNet(hidden=hidden, seed=2, sched=SCHED)
+    net = ToyScoreNet(hidden=hidden, seed=2, dtype=dtype, sched=SCHED)
     # nonzero biases, set after construction as a loaded or trained net has them
-    net.ema_params = [(W, rng.standard_normal(b.shape).astype(np.float32)) for W, b in net.params]
+    net.ema_params = [(W, rng.standard_normal(b.shape).astype(dtype)) for W, b in net.params]
     shape = GRIDS[grid]
     s = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     if grid.endswith("transposed"):
         s = s.T
         assert not s.flags.c_contiguous
+    return net, s
+
+
+HIDDEN = pytest.mark.parametrize("hidden", [(8,), (32, 32)], ids=["1 hidden", "2 hidden"])
+
+
+@HIDDEN
+@pytest.mark.parametrize("grid", GRIDS)
+def test_evaluate_matches_feature_matrix_formula(grid, hidden):
+    net, s = _net_and_state(grid, hidden, np.float64)
     for t in (SCHED.t_min, 0.5, 1.0):
         got = net.evaluate(s, t)
         assert got.shape == s.shape
         assert np.max(np.abs(got - _feature_matrix_score(net, s, t))) < 1e-12
+
+
+@HIDDEN
+@pytest.mark.parametrize("grid", GRIDS)
+def test_float32_net_evaluate_is_close_to_float64_formula(grid, hidden):
+    # a float32 net computes its MLP in float32 and only the residual map in
+    # float64; measured deviation is ~2.3e-8 of the largest score
+    net, s = _net_and_state(grid, hidden, np.float32)
+    for t in (SCHED.t_min, 0.5, 1.0):
+        got = net.evaluate(s, t)
+        ref = _feature_matrix_score(net, s, t)
+        assert got.shape == s.shape and got.dtype == np.complex128
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def _all_float64_blocked_score(net, s, t):
+    """evaluate as it ran when every net computed in float64: the weights cast
+    to float64 and the network output written straight into the score."""
+    params = [(W.astype(np.float64), b.astype(np.float64)) for W, b in net.ema_params]
+    _, bias = net._time_bias(params, float(t))
+    m = net.marginal_var(float(t))[0]
+    state = score._state_rows(s)
+    n = len(state)
+    out = np.empty(n, dtype=np.complex128)
+    rows = out.view(np.float64).reshape(n, 2)
+    scratch = [np.empty((min(n, score.EVAL_BLOCK), W.shape[1])) for W, _ in params[:-1]]
+    for lo in range(0, n, score.EVAL_BLOCK):
+        hi = min(lo + score.EVAL_BLOCK, n)
+        u = rows[lo:hi]
+        net._forward(params, state[lo:hi], bias, [a[: hi - lo] for a in scratch] + [u])
+        u -= state[lo:hi]
+        u /= m
+    return out.reshape(s.shape)
+
+
+@HIDDEN
+@pytest.mark.parametrize("grid", ["5x7 transposed", "block+1", "256x126"])
+def test_float64_net_evaluate_is_bit_identical_to_all_float64_path(grid, hidden):
+    net, s = _net_and_state(grid, hidden, np.float64)
+    for t in (SCHED.t_min, 0.5, 1.0):
+        assert np.array_equal(net.evaluate(s, t), _all_float64_blocked_score(net, s, t))
 
 
 @pytest.mark.parametrize("hidden", [(0,), (32, 0), (8, -1)])
@@ -251,7 +300,7 @@ def _unblocked_loss_and_grad(net, batch):
     """The gradient pass as first written: every layer over the whole batch."""
     s_t, target = score._batch_terms(batch, SCHED)
     b = s_t.shape[0]
-    params = score._as_float64(net.params)
+    params = score._as_dtype(net.params, np.float64)
     state = score._state_rows(s_t)
     tf, bias = net._time_bias(params, batch.t)
     out, acts = net._forward(params, state, bias)
@@ -302,8 +351,8 @@ def test_blocked_gradient_matches_unblocked_formula(shape, hidden):
 def test_gradient_pass_peak_memory_at_cli_default_shape():
     # `diffenh train --data` defaults: --batch 16, 256 bins, --patch-frames 256.
     # A pass holding every layer for all 1,048,576 points at once peaks near
-    # 1.6 GB; a blocked one holds the batch's perturbed state and target
-    # (16 MB each) plus one block of activations.
+    # 1.6 GB; a blocked one holds one block of states, targets, activations
+    # and deltas (about 2 MiB).
     net = ToyScoreNet(sched=SCHED)
     batch = _random_batch((16, 256, 256), np.random.default_rng(0))
     tracemalloc.start()
@@ -313,6 +362,20 @@ def test_gradient_pass_peak_memory_at_cli_default_shape():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+def test_gradient_pass_holds_no_batch_sized_array():
+    # the perturbed state and the target are formed block by block, so one
+    # call's peak stays below the size of one batch-shaped complex128 array
+    net = ToyScoreNet(sched=SCHED)
+    batch = _random_batch((4, 256, 256), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        dsm_loss_and_grad(net, batch, SCHED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.s0.nbytes
 
 
 def test_train_zero_epochs_leaves_parameters():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -156,11 +158,21 @@ def test_wav_roundtrip_pcm16(tmp_path):
 
 
 def test_save_wav_clips(tmp_path):
-    w = Waveform(np.array([2.0, -3.0, 0.5]), 16000)
     path = tmp_path / "c.wav"
-    signal.save_wav(path, w)
+    assert signal.save_wav(path, Waveform(np.array([2.0, -3.0, 0.5, 1.0, -1.0]), 16000)) == 2
     back = signal.load_wav(path)
-    assert np.allclose(back.samples, [1.0, -1.0, 0.5])
+    assert np.allclose(back.samples, [1.0, -1.0, 0.5, 1.0, -1.0])
+    assert signal.save_wav(path, Waveform(np.array([0.5, -1.0]), 16000)) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_wav_names_the_file_for_non_finite_samples(bad, tmp_path):
+    from scipy.io import wavfile
+
+    path = tmp_path / "bad.wav"
+    wavfile.write(path, 16000, np.array([0.1, bad, 0.2], dtype=np.float32))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: waveform contains non-finite")):
+        signal.load_wav(path)
 
 
 def test_load_wav_rejects_stereo_and_garbage(tmp_path):
