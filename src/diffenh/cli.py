@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 validation/acceptance failure,
 loss).  A --config file of key=value lines is merged under the flags
 (explicit flags win).  Randomized commands print their seed in the report
 header so every run is reproducible.
+
+Input is checked in one order: flags (argparse types, cross-flag rules) and
+configs (their dataclasses) before any file is read, then what depends on the
+files read (--nmf-rank, --clean) before any sampling, enhancing, training or
+writing.  So a usage error (exit 1) costs no work and writes nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -85,16 +91,25 @@ def _add_enhance_flags(p):
                    default=E.nmf_inner_updates, help="multiplicative updates per M-step")
 
 
+def _at_least(minimum: int):
+    """argparse type for an integer of at least minimum, reported under the flag's name."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {text!r}")
+    return parse
+
+
 def _hidden_widths(text: str) -> tuple[int, ...]:
     """--hidden as layer widths; argparse reports the error under the flag's name."""
     try:
-        widths = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        widths = ()
-    if not widths or min(widths) < 1:
+        return tuple(_at_least(1)(v) for v in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integer widths of at least 1, got {text!r}")
-    return widths
+            f"expected comma-separated integer widths of at least 1, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -109,9 +124,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", metavar="DIR", help="directory of clean 16 kHz WAV files")
     p.add_argument("--synthetic", choices=["gaussian"],
                    help="train on draws from the built-in unit Gaussian prior instead of WAV data")
-    p.add_argument("--items", type=int, default=64, help="synthetic dataset size")
-    p.add_argument("--bins", type=int, default=16, help="synthetic spectrogram bins")
-    p.add_argument("--frames", type=int, default=256, help="synthetic spectrogram frames")
+    p.add_argument("--items", type=_at_least(1), default=64, help="synthetic dataset size")
+    p.add_argument("--bins", type=_at_least(1), default=16, help="synthetic spectrogram bins")
+    p.add_argument("--frames", type=_at_least(1), default=256, help="synthetic spectrogram frames")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--resume", metavar="CKPT",
                    help="continue training from a checkpoint (its schedule and architecture win)")
@@ -128,7 +143,7 @@ def build_parser() -> _Parser:
                    help="optimizer steps per epoch")
     p.add_argument("--patch-frames", type=int, default=T.patch_frames,
                    help="frames per training patch")
-    p.add_argument("--seed", type=int, default=T.seed, help="master seed")
+    p.add_argument("--seed", type=_at_least(0), default=T.seed, help="master seed")
     _add_schedule_flags(p)
     _add_stft_flags(p)
     p.set_defaults(func=cmd_train)
@@ -142,7 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="enhanced WAV path to write")
     p.add_argument("--clean", help="reference WAV; adds a metric report")
     p.add_argument("--report", help="write the metric report as JSON here")
-    p.add_argument("--seed", type=int, default=EnhancementConfig.seed, help="master seed")
+    p.add_argument("--seed", type=_at_least(0), default=EnhancementConfig.seed, help="master seed")
     _add_enhance_flags(p)
     _add_stft_flags(p)
     p.set_defaults(func=cmd_enhance)
@@ -154,12 +169,12 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
     p.add_argument("--output", help="WAV path for the synthesized sample")
     p.add_argument("--dump-spec", metavar="FILE", help="write the raw spectrogram grid dump")
-    p.add_argument("--bins", type=int, default=None,
+    p.add_argument("--bins", type=_at_least(1), default=None,
                    help="spectrogram bins (default: the STFT bin count)")
-    p.add_argument("--frames", type=int, default=128, help="spectrogram frames")
+    p.add_argument("--frames", type=_at_least(1), default=128, help="spectrogram frames")
     p.add_argument("--reverse-steps", dest="n_steps", metavar="REVERSE_STEPS", type=int,
                    default=SamplerConfig.n_steps, help="reverse sampling steps (N)")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
     _add_stft_flags(p)
     p.set_defaults(func=cmd_sample)
 
@@ -167,7 +182,7 @@ def build_parser() -> _Parser:
                        help="check the closed-form kernel variance against its ODE",
                        description="Integrate the variance ODE and compare to the closed form.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
-    p.add_argument("--ode-steps", type=int, default=10000, help="RK4 grid resolution")
+    p.add_argument("--ode-steps", type=_at_least(1), default=10000, help="RK4 grid resolution")
     _add_schedule_flags(p)
     p.set_defaults(func=cmd_validate_sde)
 
@@ -180,16 +195,19 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-dir", help="directory of noise WAV files, paired by sort order")
     p.add_argument("--synthetic", action="store_true",
                    help="generate clean utterances from the checkpoint prior and structured noise")
-    p.add_argument("--utterances", type=int, default=20, help="synthetic utterance count")
-    p.add_argument("--frames", type=int, default=128, help="synthetic utterance frames")
+    p.add_argument("--utterances", type=_at_least(1), default=20, help="synthetic utterance count")
+    p.add_argument("--frames", type=_at_least(2), default=128, help="synthetic utterance frames")
     p.add_argument("--snrs", default="-5,0,5", help="comma-separated mixture SNRs in dB")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent utterances")
-    p.add_argument("--seed", type=int, default=EnhancementConfig.seed, help="master seed")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="concurrent utterances")
+    p.add_argument("--seed", type=_at_least(0), default=EnhancementConfig.seed, help="master seed")
     p.add_argument("--report", help="write the aggregate report as JSON here")
     _add_enhance_flags(p)
     _add_stft_flags(p)
     p.set_defaults(func=cmd_benchmark)
 
+    for p in sub.choices.values():
+        # lets a config error name the flag that set the field: --batch, not batch_size
+        p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions})
     return root
 
 
@@ -220,33 +238,26 @@ def _config_tokens(path) -> list[str]:
 
 def _merge_config(argv: list[str]) -> list[str]:
     """Expand --config FILE into its tokens, placed before the explicit flags."""
-    out = list(argv)
-    for i, tok in enumerate(out):
-        if tok == "--config":
-            if i + 1 >= len(out):
-                raise _UsageError("--config requires a file argument")
-            path = out[i + 1]
-            rest = out[:i] + out[i + 2 :]
-            break
-        if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            rest = out[:i] + out[i + 1 :]
-            break
-    else:
-        return out
+    pre = _Parser(prog="diffenh", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", metavar="FILE")
+    known, rest = pre.parse_known_args(argv)
     # insert right after the subcommand so later (explicit) flags override
-    return rest[:1] + _config_tokens(path) + rest[1:]
+    return argv if known.config is None else rest[:1] + _config_tokens(known.config) + rest[1:]
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 
 
-def _config(cls, args, **overrides):
-    """cls built from the parsed flags whose dest is one of its fields; the
-    fields no flag of the command sets keep their dataclass defaults."""
+def _config(cls, args):
+    """cls built from the parsed flags whose dest is one of its fields, the rest
+    at their defaults; an invalid value is a usage error naming those flags."""
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
-    return cls(**{**values, **overrides})
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        message = re.sub(r"\w+", lambda m: args.flags[m[0]] if m[0] in values else m[0], str(exc))
+        raise _UsageError(f"diffenh {args.command}: error: {message}") from exc
 
 
 def _load_checkpoint(path):
@@ -263,6 +274,14 @@ def _load_wav(path) -> signal.Waveform:
         raise _IoError(str(exc)) from exc
     if w.sample_rate != 16000:
         raise _IoError(f"{path}: pipeline expects 16 kHz input, got {w.sample_rate} Hz")
+    return w
+
+
+def _load_audible(flag, path) -> signal.Waveform:
+    """A reference or noise WAV; with no power, SI-SDR and mixing are undefined."""
+    w = _load_wav(path)
+    if not np.any(w.samples):
+        raise _UsageError(f"{flag}: {path} is silent (every sample is zero)")
     return w
 
 
@@ -286,13 +305,6 @@ def _check_nmf_rank(rank: int, n_samples: int, what: str, stft_cfg: signal.StftC
         )
 
 
-def _check_at_least(minimum: int, *flags):
-    """Usage error naming the first (flag, value) pair whose value is below minimum."""
-    for flag, value in flags:
-        if value < minimum:
-            raise _UsageError(f"{flag} must be at least {minimum}, got {value}")
-
-
 def _wav_files(directory) -> list[str]:
     """Sorted paths of the .wav files in directory; none is an I/O error."""
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".wav"))
@@ -306,29 +318,26 @@ def _wav_files(directory) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    _check_at_least(1, ("--patch-frames", args.patch_frames))
-    if args.synthetic == "gaussian":
-        _check_at_least(1, ("--items", args.items), ("--bins", args.bins),
-                        ("--frames", args.frames))
-    print(f"# seed={args.seed}")
+    if not args.synthetic and not args.data:
+        raise _UsageError("train needs --data DIR or --synthetic gaussian")
     sched = _config(sde.SdeSchedule, args)
     stft_cfg = _config(signal.StftConfig, args)
+    cfg = _config(score.TrainConfig, args)
+    print(f"# seed={args.seed}")
     if args.resume:
         model, sched = _load_checkpoint(args.resume)
     else:
         model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed, sched=sched)
-    if args.synthetic == "gaussian":
+    if args.synthetic:
         prior = score.AnalyticGaussianPrior(
             mean=np.zeros((args.bins, args.frames)), var0=1.0, sched=sched
         )
         rng = np.random.default_rng(args.seed)
         dataset = [prior.sample((args.bins, args.frames), rng) for _ in range(args.items)]
-    elif args.data:
-        dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
     else:
-        raise _UsageError("train needs --data DIR or --synthetic gaussian")
-    cfg = _config(score.TrainConfig, args,
-                  patch_frames=min(args.patch_frames, min(d.shape[1] for d in dataset)))
+        dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
+    frames = min(d.shape[1] for d in dataset)
+    cfg = dataclasses.replace(cfg, patch_frames=min(cfg.patch_frames, frames))
     model, history = score.train(model, dataset, cfg, sched)
     for epoch, loss in enumerate(history, 1):
         print(f"epoch {epoch}: loss {loss:.6f}")
@@ -338,17 +347,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_enhance(args) -> int:
+    stft_cfg = _config(signal.StftConfig, args)
+    cfg = _config(EnhancementConfig, args)
     print(f"# seed={args.seed}")
     model, sched = _load_checkpoint(args.ckpt)
     noisy = _load_wav(args.input)
-    clean = _load_wav(args.clean) if args.clean else None
+    clean = _load_audible("--clean", args.clean) if args.clean else None
     if clean is not None and len(clean) != len(noisy):
         raise _UsageError(
             f"length mismatch: --input has {len(noisy)} samples, --clean has {len(clean)}"
         )
-    stft_cfg = _config(signal.StftConfig, args)
     _check_nmf_rank(args.nmf_rank, len(noisy), "--input", stft_cfg)
-    enhanced = enhance_waveform(noisy, model, sched, stft_cfg, _config(EnhancementConfig, args))
+    enhanced = enhance_waveform(noisy, model, sched, stft_cfg, cfg)
     _save_wav(args.output, enhanced)
     if clean is not None:
         report = metrics.evaluate_pair(noisy, enhanced, clean)
@@ -362,30 +372,28 @@ def cmd_sample(args) -> int:
     if not args.output and not args.dump_spec:
         raise _UsageError("sample needs --output and/or --dump-spec")
     # a WAV of (frames - 1) hops needs two frames to hold any sample
-    _check_at_least(2 if args.output else 1, ("--frames", args.frames))
-    if args.bins is not None:
-        _check_at_least(1, ("--bins", args.bins))
+    if args.output and args.frames < 2:
+        raise _UsageError(f"--frames must be at least 2 with --output, got {args.frames}")
+    stft_cfg = _config(signal.StftConfig, args)
+    scfg = _config(SamplerConfig, args)
+    bins = args.bins if args.bins is not None else stft_cfg.f_bins
+    if args.output and bins != stft_cfg.f_bins:
+        raise _UsageError(f"cannot synthesize audio from --bins {bins}: --window-len "
+                          f"{stft_cfg.window_len} makes {stft_cfg.f_bins} bins")
     print(f"# seed={args.seed}")
     model, sched = _load_checkpoint(args.ckpt)
-    stft_cfg = _config(signal.StftConfig, args)
-    bins = args.bins if args.bins is not None else stft_cfg.f_bins
     rng = np.random.default_rng(args.seed)
-    spec = unconditional_sample((bins, args.frames), model, sched, _config(SamplerConfig, args), rng)
+    spec = unconditional_sample((bins, args.frames), model, sched, scfg, rng)
     if args.dump_spec:
         signal.dump_spectrogram(args.dump_spec, spec)
         print(f"wrote {args.dump_spec}")
     if args.output:
-        if bins != stft_cfg.f_bins:
-            raise _UsageError(
-                f"cannot synthesize audio from {bins} bins with window_len {stft_cfg.window_len}"
-            )
         out_len = (args.frames - 1) * stft_cfg.hop
         _save_wav(args.output, signal.istft(spec, stft_cfg, out_len))
     return EXIT_OK
 
 
 def cmd_validate_sde(args) -> int:
-    _check_at_least(1, ("--ode-steps", args.ode_steps))
     err = sde.variance_ode_error(_config(sde.SdeSchedule, args), n_steps=args.ode_steps)
     verdict = "PASS" if err < ODE_TOLERANCE else "FAIL"
     print(f"max relative error = {err:.3e} (tolerance {ODE_TOLERANCE:.0e}): {verdict}")
@@ -405,31 +413,27 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
             )
             pairs.append((f"synthetic-{i:03d}", clean, noise))
         return pairs
-    if not args.clean_dir or not args.noise_dir:
-        raise _UsageError("benchmark needs --synthetic or both --clean-dir and --noise-dir")
     cleans = _wav_files(args.clean_dir)
-    noises = _wav_files(args.noise_dir)
-    return [
-        (os.path.basename(c), _load_wav(c), _load_wav(noises[i % len(noises)]))
-        for i, c in enumerate(cleans)
-    ]
+    noises = [_load_audible("--noise-dir", n) for n in _wav_files(args.noise_dir)[: len(cleans)]]
+    return [(os.path.basename(c), _load_audible("--clean-dir", c), noises[i % len(noises)])
+            for i, c in enumerate(cleans)]
 
 
 def cmd_benchmark(args) -> int:
-    _check_at_least(1, ("--jobs", args.jobs))
+    if not args.synthetic and not (args.clean_dir and args.noise_dir):
+        raise _UsageError("benchmark needs --synthetic or both --clean-dir and --noise-dir")
     stft_cfg = _config(signal.StftConfig, args)
-    if args.synthetic:
-        # a synthetic utterance has (frames - 1) * hop samples, known before sampling
-        _check_at_least(1, ("--utterances", args.utterances))
-        _check_at_least(2, ("--frames", args.frames))
-        _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,
-                        f"a synthetic utterance of --frames {args.frames}", stft_cfg)
-    print(f"# seed={args.seed}")
-    model, sched = _load_checkpoint(args.ckpt)
+    cfg = _config(EnhancementConfig, args)
     try:
         snrs = [float(v) for v in args.snrs.split(",")]
     except ValueError as exc:
         raise _UsageError(f"bad --snrs value {args.snrs!r}") from exc
+    if args.synthetic:
+        # a synthetic utterance has (frames - 1) * hop samples, known before sampling
+        _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,
+                        f"a synthetic utterance of --frames {args.frames}", stft_cfg)
+    print(f"# seed={args.seed}")
+    model, sched = _load_checkpoint(args.ckpt)
     pairs = _benchmark_pairs(args, model, sched, stft_cfg)
     tasks = []
     for label, clean, noise in pairs:
@@ -440,8 +444,8 @@ def cmd_benchmark(args) -> int:
     def _run(task):
         index, label, clean, noise, snr = task
         noisy, _ = signal.mix_at_snr(clean, noise, snr, seed=args.seed + index)
-        cfg = _config(EnhancementConfig, args, seed=args.seed + index)
-        enhanced = enhance_waveform(noisy, model, sched, stft_cfg, cfg)
+        enhanced = enhance_waveform(noisy, model, sched, stft_cfg,
+                                    dataclasses.replace(cfg, seed=args.seed + index))
         return metrics.evaluate_pair(noisy, enhanced, clean)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -482,7 +486,7 @@ def main(argv=None) -> int:
         print(f"diffenh: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
-        # invariant violations from typed configs surface as usage errors
+        # a library invariant the command's own checks missed
         print(f"diffenh: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

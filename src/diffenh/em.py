@@ -62,16 +62,10 @@ class EnhancementConfig:
     nmf_inner_updates: int = 20
 
     def __post_init__(self):
-        counts = (
-            self.em_iters,
-            self.reverse_steps,
-            self.posterior_every,
-            self.nmf_rank,
-            self.batch,
-            self.nmf_inner_updates,
-        )
-        if any(c < 1 for c in counts):
-            raise ValueError(f"all counts must be >= 1: {counts}")
+        for name in ("em_iters", "reverse_steps", "posterior_every", "nmf_rank", "batch",
+                     "nmf_inner_updates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.guidance_weight < 0:
             raise ValueError(f"guidance_weight must be >= 0, got {self.guidance_weight}")
 

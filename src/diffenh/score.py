@@ -424,10 +424,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0 or self.steps_per_epoch < 1:
-            raise ValueError("invalid training configuration")
-        if self.patch_frames < 1:
-            raise ValueError(f"patch_frames must be >= 1, got {self.patch_frames}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        lows = {"batch_size": 1, "epochs": 0, "steps_per_epoch": 1, "patch_frames": 1}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.lr_decay not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_decay {self.lr_decay!r}")
 

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,52 @@ def test_enhance_checks_reference_length_before_enhancing(tiny_ckpt, tmp_path, c
     assert not out_path.exists()
 
 
+def test_enhance_silent_reference_is_rejected_before_enhancing(tiny_ckpt, tmp_path, capsys):
+    noisy_path, _ = _write_noisy(tmp_path)
+    silent = tmp_path / "silent.wav"
+    signal.save_wav(silent, signal.Waveform(np.zeros(2000), 16000))
+    out_path = tmp_path / "o.wav"
+    rc = cli.main(
+        ["enhance", "--input", str(noisy_path), "--ckpt", str(tiny_ckpt),
+         "--output", str(out_path), "--clean", str(silent), *FAST_ENHANCE]
+    )
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"--clean: {silent} is silent" in captured.err
+    assert "wrote" not in captured.out
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--clean-dir", "--noise-dir"])
+def test_benchmark_silent_file_is_rejected_before_enhancing(flag, tiny_ckpt, tmp_path, capsys):
+    dirs = {"--clean-dir": tmp_path / "clean", "--noise-dir": tmp_path / "noise"}
+    for directory in dirs.values():
+        directory.mkdir()
+        signal.save_wav(directory / "a.wav", signal.Waveform(
+            0.2 * np.random.default_rng(0).standard_normal(1600), 16000))
+    silent = dirs[flag] / "0.wav"  # sorts first, so it is paired
+    signal.save_wav(silent, signal.Waveform(np.zeros(1600), 16000))
+    report = tmp_path / "r.json"
+    rc = cli.main(["benchmark", "--ckpt", str(tiny_ckpt), "--clean-dir", str(dirs["--clean-dir"]),
+                   "--noise-dir", str(dirs["--noise-dir"]), "--snrs", "0", "--report", str(report),
+                   *FAST_ENHANCE])
+    assert rc == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{flag}: {silent} is silent" in captured.err
+    assert "dB out" not in captured.out
+    assert not report.exists()
+
+
+def test_readme_commands_parse():
+    # every documented invocation must survive the parse-time flag checks
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = readme.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln, comments=True) for ln in lines if ln.startswith("diffenh ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
+
+
 def test_enhance_with_nonfinite_checkpoint_is_numeric_error(tiny_ckpt, tmp_path, capsys):
     from diffenh import score
 
@@ -401,6 +448,7 @@ NOTHING_TO_DO_CASES = [
     ("train --patch-frames 0", "train " + _FAST_TRAIN + " --patch-frames 0 --out {out}",
      "--patch-frames"),
     ("train --bins 0", "train " + _FAST_TRAIN + " --bins 0 --out {out}", "--bins"),
+    ("train --batch 0", "train " + _FAST_TRAIN + " --batch 0 --out {out}", "--batch"),
     ("train --items 0", "train " + _FAST_TRAIN + " --items 0 --out {out}", "--items"),
     ("benchmark --utterances 0", "benchmark --ckpt {ckpt} --synthetic --utterances 0 "
      "--frames 16 --snrs 0 --report {out} " + _FAST, "--utterances"),
@@ -431,6 +479,22 @@ NOTHING_TO_DO_CASES = [
      "--snrs 0 --jobs 0 --report {out} " + _FAST, "--jobs"),
     ("benchmark --jobs -3", "benchmark --ckpt {ckpt} --clean-dir {out} --noise-dir {out} "
      "--jobs -3 " + _FAST, "--jobs"),
+    ("enhance --em-iters 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
+     + " --em-iters 0", "--em-iters"),
+    ("enhance --hop 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
+     + " --hop 0", "--hop"),
+    ("enhance --seed -1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
+     + " --seed -1", "--seed"),
+    ("train --seed -1", "train " + _FAST_TRAIN + " --seed -1 --out {out}", "--seed"),
+    ("sample --reverse-steps 0", "sample --ckpt {ckpt} --dump-spec {out} --frames 4 "
+     "--reverse-steps 0", "--reverse-steps"),
+    # 16 bins make a grid that 64-sample windows cannot synthesize, so nothing may be written
+    ("sample --output --bins 16", "sample --ckpt {ckpt} --output {out}.wav --bins 16 "
+     "--dump-spec {out} --frames 4 --reverse-steps 2 --window-len 64 --hop 16", "--bins"),
+    ("benchmark --synthetic --em-iters 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
+     "--frames 16 --snrs 0 --report {out} " + _FAST + " --em-iters 0", "--em-iters"),
+    ("benchmark --snrs x", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs x --report {out} " + _FAST, "--snrs"),
 ]
 
 
@@ -438,7 +502,8 @@ NOTHING_TO_DO_CASES = [
                          ids=[c[0] for c in NOTHING_TO_DO_CASES])
 def test_inputs_that_produce_nothing_are_usage_errors(argv, flag, tiny_ckpt, tmp_path, capsys):
     out = tmp_path / "out"
-    rc = cli.main([tok.format(out=out, ckpt=tiny_ckpt) for tok in argv.split()])
+    noisy, _ = _write_noisy(tmp_path)
+    rc = cli.main([tok.format(out=out, ckpt=tiny_ckpt, noisy=noisy) for tok in argv.split()])
     assert rc == cli.EXIT_USAGE
     assert flag in capsys.readouterr().err
     assert not out.exists()
@@ -452,7 +517,8 @@ def test_inputs_that_produce_nothing_are_rejected_before_the_checkpoint_loads(ar
                                                                              capsys):
     # with no checkpoint to read, a check made after loading would exit 3 instead
     gone = tmp_path / "gone.ckpt"
-    rc = cli.main([tok.format(out=tmp_path / "out", ckpt=gone) for tok in argv.split()])
+    noisy, _ = _write_noisy(tmp_path)
+    rc = cli.main([tok.format(out=tmp_path / "out", ckpt=gone, noisy=noisy) for tok in argv.split()])
     assert rc == cli.EXIT_USAGE
     assert flag in capsys.readouterr().err
 

@@ -23,11 +23,11 @@ def sched():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^em_iters must be >= 1, got 0$"):
         EnhancementConfig(em_iters=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^batch must be >= 1, got 0$"):
         EnhancementConfig(batch=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^guidance_weight must be >= 0, got -0.1$"):
         EnhancementConfig(guidance_weight=-0.1)
     scfg = EnhancementConfig(reverse_steps=12, posterior_every=3, guidance_weight=2.0).sampler_config()
     assert scfg.n_steps == 12
