@@ -241,6 +241,12 @@ def _merge_config(argv: list[str]) -> list[str]:
     pre = _Parser(prog="diffenh", add_help=False, allow_abbrev=False)
     pre.add_argument("--config", metavar="FILE")
     known, rest = pre.parse_known_args(argv)
+    for token in rest:
+        # a subcommand parser would take --conf as --config, and the file go unread
+        flag = token.split("=", 1)[0]
+        if len(flag) > 2 and "--config".startswith(flag):
+            raise _UsageError(f"diffenh: error: {flag}: an abbreviated --config is not read; "
+                              "write --config in full")
     # insert right after the subcommand so later (explicit) flags override
     return argv if known.config is None else rest[:1] + _config_tokens(known.config) + rest[1:]
 
@@ -428,6 +434,8 @@ def cmd_benchmark(args) -> int:
         snrs = [float(v) for v in args.snrs.split(",")]
     except ValueError as exc:
         raise _UsageError(f"bad --snrs value {args.snrs!r}") from exc
+    if not np.isfinite(snrs).all():
+        raise _UsageError(f"--snrs values must be finite dB levels, got {args.snrs!r}")
     if args.synthetic:
         # a synthetic utterance has (frames - 1) * hop samples, known before sampling
         _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,

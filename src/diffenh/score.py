@@ -23,10 +23,10 @@ CHECKPOINT_VERSION = 1
 DEFAULT_EMB_FREQS = (0.5, 1.0, 2.0, 4.0)
 
 # grid points pushed through the net at a time, by ToyScoreNet.evaluate and
-# by the training pass dsm_loss_and_grad alike; each block's activations
-# (EVAL_BLOCK x width, 256 KB at width 32 in float32 and 512 KB in float64)
-# stay in the per-core L2 cache instead of streaming full-grid layers
-# through memory
+# by the training pass dsm_loss_and_grad alike, both in the net's dtype; each
+# block's activations, and in training its deltas (EVAL_BLOCK x width, 256 KB
+# at width 32 in float32 and 512 KB in float64), stay in the per-core L2
+# cache instead of streaming full-grid layers through memory
 EVAL_BLOCK = 2048
 
 
@@ -175,13 +175,14 @@ class ToyScoreNet(ScoreModel):
     item) share this forward pass, and both walk their points in blocks of
     at most EVAL_BLOCK so the activations stay in cache.
 
-    dtype is the compute dtype of evaluate: a loaded checkpoint or a default
-    net (float32) runs its weights, time bias, input rows and activations in
-    float32, and a float64 net, as the finite-difference tests build, in
-    float64.  The residual map (u - s) / m(t) is always float64, so float32
-    rounding of u is never amplified by a small m(t).  Parameters are stored
-    in dtype, so checkpoints round-trip bit-exactly; the training pass
-    computes in float64 whatever the dtype.
+    dtype is the compute dtype of evaluate and of the training pass: a loaded
+    checkpoint or a default net (float32) runs its weights, time bias, input
+    rows, activations and back-propagated deltas in float32, and a float64
+    net, as the finite-difference tests build, in float64.  The residual map
+    (u - s) / m(t) is always float64, so float32 rounding of u is never
+    amplified by a small m(t); so are the training loss and the gradient
+    sums over blocks.  Parameters are stored in dtype, so checkpoints
+    round-trip bit-exactly.
     """
 
     def __init__(
@@ -356,25 +357,35 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
     rest), or, when an item has more than EVAL_BLOCK points, a chunk of one
     item.  Residuals and deltas are computed in place in per-layer buffers;
     the weight, bias and per-item time-row gradients are summed over blocks.
+
+    Each block computes in model.dtype, as evaluate does: the weights, time
+    bias, input rows, activations, back-propagated deltas and the block's own
+    gradient products and column sums.  The perturbed state, the target, the residual map
+    (u - s) / m(t) and the loss are float64, and the block products are added
+    into float64 gradient sums, which are what is returned.  A float64 net
+    computes everything in float64.
     """
     delta, sig = _batch_coeffs(batch, sched)
     # numpy divides a complex array by a real one as a product with the
     # reciprocal, so the target rows below equal -zeta / sigma bit for bit
     neg_inv_sig = -1.0 / sig
     b = len(batch.t)
-    params = _as_dtype(model.params, np.float64)
+    dt = model.dtype
+    params = _as_dtype(model.params, dt)
     s0 = _state_rows(batch.s0)
     zeta = _state_rows(batch.zeta)
     tf, bias = model._time_bias(params, batch.t)
+    bias = bias.astype(dt, copy=False)
     m = model.marginal_var(batch.t)
     n = len(s0) // b
     per_block = min(b, max(1, EVAL_BLOCK // n))  # whole items per block; 1 when chunking
     rows = min(per_block * n, EVAL_BLOCK)
-    acts = [np.empty((rows, W.shape[1])) for W, _ in params]
-    deltas = [None] + [np.empty((rows, W.shape[0])) for W, _ in params[1:]]
-    grads = [None] + [[np.zeros_like(p) for p in pair] for pair in params[1:]]
+    acts = [np.empty((rows, W.shape[1]), dt) for W, _ in params]
+    resid = np.empty((rows, 2))
+    deltas = [None] + [np.empty((rows, W.shape[0]), dt) for W, _ in params[1:]]
+    grads = [None] + [[np.zeros(p.shape) for p in pair] for pair in params[1:]]
     state_grad = np.zeros((2, bias.shape[1]))
-    per_item = np.zeros_like(bias)
+    per_item = np.zeros(bias.shape)
     loss = 0.0
     for i in range(0, b, per_block):
         j = min(i + per_block, b)
@@ -386,17 +397,18 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
             z = zeta[lo:hi].reshape(j - i, -1, 2)
             x = delta[i:j, None, None] * s0[lo:hi].reshape(z.shape) + sig[i:j, None, None] * z
             x, target = x.reshape(-1, 2), (neg_inv_sig[i:j, None, None] * z).reshape(-1, 2)
-            u, blk = model._forward(params, x, bias[i:j], [buf[: hi - lo] for buf in acts])
+            x_in = x.astype(dt, copy=False)
+            u, blk = model._forward(params, x_in, bias[i:j], [buf[: hi - lo] for buf in acts])
             # residual (u - s) / m - target, then its delta 2 * resid / m / b
-            u_items = u.reshape(j - i, -1, 2)
-            u -= x
-            u_items /= scale
-            u -= target
-            loss += float(np.vdot(u, u))
-            u *= 2.0
-            u_items /= scale
-            u /= b
-            d = u
+            r = np.subtract(u, x, out=resid[: hi - lo])
+            r_items = r.reshape(j - i, -1, 2)
+            r_items /= scale
+            r -= target
+            loss += float(np.vdot(r, r))
+            r *= 2.0
+            r_items /= scale
+            r /= b
+            d = r.astype(dt, copy=False)
             for k in range(len(params) - 1, 0, -1):
                 a = blk[k]
                 grads[k][0] += a.T @ d
@@ -407,7 +419,7 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
                 np.subtract(1.0, a, out=a)
                 d *= a
             # first layer: the state rows here, the time rows once at the end
-            state_grad += x.T @ d
+            state_grad += x_in.T @ d
             per_item[i:j] += d.reshape(j - i, -1, d.shape[1]).sum(axis=1)
     grads[0] = (np.concatenate([state_grad, tf.T @ per_item]), per_item.sum(axis=0))
     return loss / b, [tuple(g) for g in grads]

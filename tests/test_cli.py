@@ -227,6 +227,20 @@ def test_config_value_may_start_with_a_dash(tmp_path):
     assert cli.build_parser().parse_args(argv).snrs == "-5,0,5"
 
 
+@pytest.mark.parametrize("flag", ["--c", "--con", "--conf", "--confi"])
+def test_abbreviated_config_flag_is_a_usage_error(flag, tmp_path, capsys):
+    # the subcommand parser would accept the abbreviation, but the file would
+    # never be merged: validate-sde used to print PASS here
+    two = tmp_path / "two.cfg"
+    two.write_text("ode_steps = 2\n")
+    assert cli.main(["validate-sde", "--config", str(two)]) == cli.EXIT_VALIDATION
+    assert "FAIL" in capsys.readouterr().out
+    for argv in ([flag, str(two)], [f"{flag}={two}"]):
+        assert cli.main(["validate-sde", *argv]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--config" in captured.err and "PASS" not in captured.out
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("frames 8\n")
@@ -495,6 +509,12 @@ NOTHING_TO_DO_CASES = [
      "--frames 16 --snrs 0 --report {out} " + _FAST + " --em-iters 0", "--em-iters"),
     ("benchmark --snrs x", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
      "--snrs x --report {out} " + _FAST, "--snrs"),
+    ("benchmark --snrs nan", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs nan --report {out} " + _FAST, "--snrs"),
+    ("benchmark --snrs inf", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs 0,inf --report {out} " + _FAST, "--snrs"),
+    ("benchmark --snrs -inf", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs=-inf --report {out} " + _FAST, "--snrs"),
 ]
 
 
