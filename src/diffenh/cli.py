@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation/acceptance failure,
 3 I/O error, 4 numeric failure (non-finite scores, noise factors or training
-loss).  A --config file of key=value lines is merged under the flags
-(explicit flags win).  Randomized commands print their seed in the report
-header so every run is reproducible.
+loss), 5 internal error (a fault in diffenh itself, reported in one line).
+A --config file of key=value lines is merged under the flags (explicit flags
+win).  Randomized commands print their seed in the report header so every
+run is reproducible.
 
 Input is checked in one order: flags (argparse types, cross-flag rules) and
 configs (their dataclasses) before any file is read, then what depends on the
@@ -32,6 +33,7 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 ODE_TOLERANCE = 1e-6
 
@@ -215,6 +217,11 @@ def build_parser() -> _Parser:
 # config-file merge
 
 
+def _is_config_flag(flag) -> bool:
+    """Whether a subcommand parser, which allows abbreviations, would read flag as --config."""
+    return len(flag) > 2 and "--config".startswith(flag)
+
+
 def _config_tokens(path) -> list[str]:
     with open(path) as fh:
         lines = fh.readlines()
@@ -227,6 +234,10 @@ def _config_tokens(path) -> list[str]:
             raise _UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
+        if _is_config_flag(flag):
+            # only the command line's --config is expanded, so the file would go unread
+            raise _UsageError(f"{path}:{ln}: {key!r} sets --config, but a config file may not "
+                              "name another config file")
         if value.lower() == "true":
             tokens.append(flag)
         elif value.lower() == "false":
@@ -244,7 +255,7 @@ def _merge_config(argv: list[str]) -> list[str]:
     for token in rest:
         # a subcommand parser would take --conf as --config, and the file go unread
         flag = token.split("=", 1)[0]
-        if len(flag) > 2 and "--config".startswith(flag):
+        if _is_config_flag(flag):
             raise _UsageError(f"diffenh: error: {flag}: an abbreviated --config is not read; "
                               "write --config in full")
     # insert right after the subcommand so later (explicit) flags override
@@ -493,13 +504,14 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"diffenh: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        # a library invariant the command's own checks missed
-        print(f"diffenh: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SystemExit as exc:
         # argparse --help exits 0 through here
         return int(exc.code or 0)
+    except Exception as exc:
+        # every user error has its own code above, so what reaches here is a fault in
+        # diffenh, e.g. a library invariant the command's own checks missed
+        print(f"diffenh: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

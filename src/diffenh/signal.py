@@ -10,10 +10,10 @@ rounding.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 _WINSUM_FLOOR = 1e-12
 
@@ -165,34 +165,91 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int = 0):
     return Waveform(clean.samples + scale * n, clean.sample_rate), scale
 
 
-def load_wav(path) -> Waveform:
-    """Read a mono RIFF WAV with PCM16 or IEEE float32 samples.
+# WAV format codes, and the (code, bits per sample) pairs load_wav reads
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+_WAV_DTYPES = {(_WAVE_PCM, 16): "<i2", (_WAVE_FLOAT, 32): "<f4"}
+# bytes 4..15 of the KSDATAFORMAT SubFormat GUID whose first 4 bytes are a format code
+_WAVE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
-    PCM16 maps to [-1, 1) by division by 32768.
+
+def _wav_format(fmt: memoryview) -> tuple[int, str]:
+    """(sample rate, numpy dtype) from the body of a fmt chunk."""
+    if len(fmt) < 16:
+        raise ValueError(f"fmt chunk of {len(fmt)} bytes, need at least 16")
+    code, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if code == _WAVE_EXTENSIBLE:
+        if len(fmt) < 40 or fmt[28:40] != _WAVE_GUID_TAIL:
+            raise ValueError("WAVE_FORMAT_EXTENSIBLE fmt chunk without a standard SubFormat")
+        code = int.from_bytes(fmt[24:28], "little")
+    if channels != 1:
+        raise ValueError(f"expected mono audio, got {channels} channels")
+    dtype = _WAV_DTYPES.get((code, bits))
+    if dtype is None or block_align != bits // 8:
+        raise ValueError(f"unsupported sample format (format code {code}, {bits}-bit, "
+                         f"{block_align}-byte blocks), need PCM16 or float32")
+    return rate, dtype
+
+
+def _decode_wav(blob: bytes) -> Waveform:
+    """Walk the chunks of a WAV file's bytes up to the first data chunk."""
+    view = memoryview(blob)
+    if len(view) < 12 or view[:4] != b"RIFF" or view[8:12] != b"WAVE":
+        # RIFX (big-endian) and RF64 (64-bit sizes) end here too
+        raise ValueError(f"not a little-endian RIFF/WAVE file (it starts {bytes(view[:12])!r})")
+    pos, fmt = 12, None
+    while pos + 8 <= len(view):
+        chunk = bytes(view[pos : pos + 4])
+        size = int.from_bytes(view[pos + 4 : pos + 8], "little")
+        body = view[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{chunk!r} chunk claims {size} bytes, the file holds {len(body)}")
+        if chunk == b"fmt ":
+            fmt = _wav_format(body)
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+            rate, dtype = fmt
+            width = np.dtype(dtype).itemsize
+            samples = np.frombuffer(body[: size - size % width], dtype=dtype)
+            if dtype == "<i2":
+                return Waveform(samples.astype(np.float64) / 32768.0, rate)
+            return Waveform(samples, rate)
+        pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
+    raise ValueError("no data chunk" if fmt else "no fmt chunk")
+
+
+def load_wav(path) -> Waveform:
+    """Read a mono little-endian RIFF WAV with PCM16 or IEEE float32 samples.
+
+    The fmt chunk may be plain or WAVE_FORMAT_EXTENSIBLE; chunks other than
+    fmt and data (LIST, fact, ...) are skipped.  PCM16 maps to [-1, 1) by
+    division by 32768.  Any other container, format, bit depth or channel
+    count, a missing or truncated chunk, or a non-finite sample is a
+    ValueError whose message starts with the path.
     """
+    with open(path, "rb") as fh:
+        blob = fh.read()
     try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"{path}: not a readable WAV file ({exc})") from exc
-    if data.ndim != 1:
-        raise ValueError(f"{path}: expected mono audio, got {data.shape[1]} channels")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"{path}: unsupported sample format {data.dtype}, need PCM16 or float32")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{path}: waveform contains non-finite samples")
-    return Waveform(samples, int(rate))
+        return _decode_wav(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_wav(path, w: Waveform) -> int:
     """Write a mono float32 WAV, clipping to [-1, 1]; returns the number of
-    samples clipped."""
-    wavfile.write(path, w.sample_rate, np.clip(w.samples, -1.0, 1.0).astype(np.float32))
+    samples clipped.
+
+    The layout is the common one for float WAVs: an 18-byte fmt chunk (IEEE
+    float, cbSize 0), a fact chunk holding the sample count, then the data.
+    """
+    data = np.clip(w.samples, -1.0, 1.0).astype("<f4")
+    # the RIFF size counts every byte after its own field: 50 header bytes, then the data
+    header = struct.pack("<4sI4s4sIHHIIHHH4sII4sI", b"RIFF", 50 + data.nbytes, b"WAVE",
+                         b"fmt ", 18, _WAVE_FLOAT, 1, w.sample_rate, 4 * w.sample_rate, 4, 32, 0,
+                         b"fact", 4, len(data), b"data", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data.tobytes())
     return int(np.count_nonzero(np.abs(w.samples) > 1.0))
 
 

@@ -36,6 +36,15 @@ def test_module_entry_point():
     assert proc.stdout == (GOLDEN / "help_root.txt").read_text()
 
 
+def test_import_loads_no_scipy():
+    # WAV input and output are numpy code, so start-up pays for no scipy module
+    code = ("import diffenh, diffenh.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert "a command is required" in capsys.readouterr().err
@@ -143,6 +152,22 @@ def test_enhance_with_metrics_and_report(tiny_ckpt, tmp_path, capsys):
     assert set(payload) == {"si_sdr_db", "input_si_sdr_db", "delta_db"}
 
 
+@pytest.mark.parametrize("fault", [ValueError, RuntimeError])
+def test_internal_fault_is_exit_5_in_one_line(fault, tiny_ckpt, tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise fault("invariant broken")
+
+    monkeypatch.setattr(cli, "enhance_waveform", broken)
+    noisy_path, _ = _write_noisy(tmp_path)
+    out_path = tmp_path / "o.wav"
+    rc = cli.main(["enhance", "--input", str(noisy_path), "--ckpt", str(tiny_ckpt),
+                   "--output", str(out_path), *FAST_ENHANCE])
+    assert rc == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err == f"diffenh: internal error: {fault.__name__}: invariant broken\n"
+    assert "Traceback" not in err and not out_path.exists()
+
+
 def test_enhance_rejects_wrong_sample_rate(tiny_ckpt, tmp_path, capsys):
     wav = signal.Waveform(np.zeros(1000) + 0.1, 8000)
     path = tmp_path / "slow.wav"
@@ -239,6 +264,18 @@ def test_abbreviated_config_flag_is_a_usage_error(flag, tmp_path, capsys):
         assert cli.main(["validate-sde", *argv]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert "--config" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("key", ["config", "conf"])
+def test_config_file_naming_a_config_file_is_a_usage_error(key, tmp_path, capsys):
+    # only the command line's --config is merged: validate-sde used to print PASS here
+    two = tmp_path / "two.cfg"
+    two.write_text("ode_steps = 2\n")
+    outer = tmp_path / "outer.cfg"
+    outer.write_text(f"# nested\n{key} = {two}\n")
+    assert cli.main(["validate-sde", "--config", str(outer)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{outer}:2:" in captured.err and "PASS" not in captured.out
 
 
 def test_config_file_errors(tmp_path, capsys):

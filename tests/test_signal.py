@@ -1,4 +1,6 @@
+import io
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -190,6 +192,111 @@ def test_load_wav_rejects_stereo_and_garbage(tmp_path):
 
     with pytest.raises(FileNotFoundError):
         signal.load_wav(tmp_path / "missing.wav")
+
+
+def _chunk(name: bytes, body: bytes) -> bytes:
+    return name + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def _riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(code, bits, rate=16000, channels=1, extensible=False, block=None):
+    block = block or channels * bits // 8
+    head = struct.pack("<HHIIHH", 0xFFFE if extensible else code, channels, rate,
+                       rate * block, block, bits)
+    if not extensible:
+        return _chunk(b"fmt ", head)
+    guid = struct.pack("<I", code) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return _chunk(b"fmt ", head + struct.pack("<HHI", 22, bits, 4) + guid)
+
+
+_PCM16 = np.random.default_rng(5).integers(-32768, 32768, 301).astype("<i2")
+_F32 = np.random.default_rng(6).uniform(-1, 1, 300).astype("<f4")
+_WAV_LAYOUTS = {
+    "plain": lambda fmt, data: _riff(fmt, _chunk(b"data", data)),
+    "list before data": lambda fmt, data: _riff(
+        fmt, _chunk(b"LIST", b"INFOISFT\x06\x00\x00\x00tests\x00"), _chunk(b"data", data)),
+    "odd unknown chunk": lambda fmt, data: _riff(
+        _chunk(b"junk", b"abc"), fmt, _chunk(b"fact", b"\x2c\x01\x00\x00"),
+        _chunk(b"data", data)),
+}
+
+
+@pytest.mark.filterwarnings(r"ignore:Chunk \(non-data\) not understood")
+@pytest.mark.parametrize("extensible", [False, True], ids=["fmt", "extensible"])
+@pytest.mark.parametrize("layout", list(_WAV_LAYOUTS))
+@pytest.mark.parametrize("code,bits,data", [(1, 16, _PCM16), (3, 32, _F32)],
+                         ids=["pcm16", "float32"])
+def test_load_wav_matches_scipy(code, bits, data, layout, extensible, tmp_path):
+    from scipy.io import wavfile
+
+    path = tmp_path / "x.wav"
+    path.write_bytes(_WAV_LAYOUTS[layout](_fmt(code, bits, 22050, extensible=extensible),
+                                          data.tobytes()))
+    rate, ref = wavfile.read(path)
+    assert ref.dtype == data.dtype
+    back = signal.load_wav(path)
+    assert back.sample_rate == rate == 22050
+    expected = ref.astype(np.float64) / 32768.0 if code == 1 else ref.astype(np.float64)
+    assert np.array_equal(back.samples, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+def test_save_wav_writes_scipy_bytes(n, tmp_path):
+    from scipy.io import wavfile
+
+    x = 1.5 * np.random.default_rng(n).standard_normal(n)
+    ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+    signal.save_wav(ours, Waveform(x, 16000))
+    wavfile.write(ref, 16000, np.clip(x, -1.0, 1.0).astype(np.float32))
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def _rejected_wav(case) -> tuple[bytes, str]:
+    """The bytes of one malformed or unsupported WAV, and a part of its error."""
+    from scipy.io import wavfile
+
+    def scipy_bytes(data):
+        buf = io.BytesIO()
+        wavfile.write(buf, 16000, data)
+        return buf.getvalue()
+
+    good = scipy_bytes(np.zeros(10, dtype=np.int16))
+    return {
+        "stereo": (scipy_bytes(np.zeros((10, 2), dtype=np.int16)),
+                   "expected mono audio, got 2 channels"),
+        "pcm8": (scipy_bytes(np.full(10, 128, dtype=np.uint8)), "8-bit"),
+        "float64": (scipy_bytes(np.zeros(10)), "64-bit"),
+        "pcm24": (_riff(_fmt(1, 24), _chunk(b"data", bytes(30))), "24-bit"),
+        "pcm16 in 4-byte blocks": (_riff(_fmt(1, 16, block=4), _chunk(b"data", bytes(40))),
+                                   "4-byte blocks"),
+        "extensible, unknown subformat": (
+            _riff(_fmt(1, 16, extensible=True)[:-1] + b"\x00", _chunk(b"data", bytes(20))),
+            "SubFormat"),
+        "rifx": (b"RIFX" + good[4:], "RIFX"),
+        "rf64": (b"RF64" + good[4:], "RF64"),
+        "truncated header": (good[:30], "fmt "),
+        "truncated data": (good[:-1], "data"),
+        "no data": (_riff(_fmt(1, 16)), "no data chunk"),
+        "data before fmt": (_riff(_chunk(b"data", bytes(4)), _fmt(1, 16)), "no fmt chunk"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["stereo", "pcm8", "float64", "pcm24", "pcm16 in 4-byte blocks",
+                                  "extensible, unknown subformat", "rifx", "rf64",
+                                  "truncated header", "truncated data", "no data",
+                                  "data before fmt"])
+def test_load_wav_rejects_naming_the_path(case, tmp_path):
+    blob, reason = _rejected_wav(case)
+    path = tmp_path / "bad.wav"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as excinfo:
+        signal.load_wav(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert reason in str(excinfo.value)
 
 
 def test_spectrogram_dump_roundtrip(tmp_path):
