@@ -10,10 +10,8 @@ from .sde import SdeSchedule, KernelMoments, diffusion_coeff, kernel_moments, pe
 from .signal import StftConfig, Waveform, stft, istft, mix_at_snr, load_wav, save_wav
 from .score import (
     AnalyticGaussianPrior,
-    GmmPrior,
     ToyScoreNet,
     TrainConfig,
-    dsm_loss,
     train,
     save_checkpoint,
     load_checkpoint,
@@ -37,10 +35,8 @@ __all__ = [
     "load_wav",
     "save_wav",
     "AnalyticGaussianPrior",
-    "GmmPrior",
     "ToyScoreNet",
     "TrainConfig",
-    "dsm_loss",
     "train",
     "save_checkpoint",
     "load_checkpoint",

@@ -1,8 +1,8 @@
-"""Command-line surface: train, enhance, sample, validate-sde, benchmark.
+"""Command-line surface: train, enhance, sample, benchmark.
 
-Exit codes: 0 success, 1 usage error, 2 validation/acceptance failure,
-3 I/O error, 4 numeric failure (non-finite scores, noise factors or training
-loss), 5 internal error (a fault in diffenh itself, reported in one line).
+Exit codes: 0 success, 1 usage error, 2 unused, 3 I/O error, 4 numeric
+failure (non-finite scores, noise factors or training loss), 5 internal error
+(a fault in diffenh itself, reported in one line).
 A --config file of key=value lines is merged under the flags (explicit flags
 win).  Randomized commands print their seed in the report header so every
 run is reproducible.
@@ -30,12 +30,9 @@ from .sampler import SamplerConfig, unconditional_sample
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
-
-ODE_TOLERANCE = 1e-6
 
 
 class _UsageError(Exception):
@@ -56,14 +53,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(prog):
     # fixed width keeps --help output stable for the golden-file test
     return argparse.ArgumentDefaultsHelpFormatter(prog, width=100)
-
-
-def _add_schedule_flags(p):
-    S = sde.SdeSchedule
-    p.add_argument("--gamma", type=float, default=S.gamma, help="mean-decay rate")
-    p.add_argument("--sigma-min", type=float, default=S.sigma_min, help="minimum noise scale")
-    p.add_argument("--sigma-max", type=float, default=S.sigma_max, help="maximum noise scale")
-    p.add_argument("--t-min", type=float, default=S.t_min, help="minimum process time")
 
 
 def _add_stft_flags(p):
@@ -146,7 +135,11 @@ def build_parser() -> _Parser:
     p.add_argument("--patch-frames", type=int, default=T.patch_frames,
                    help="frames per training patch")
     p.add_argument("--seed", type=_at_least(0), default=T.seed, help="master seed")
-    _add_schedule_flags(p)
+    S = sde.SdeSchedule
+    p.add_argument("--gamma", type=float, default=S.gamma, help="mean-decay rate")
+    p.add_argument("--sigma-min", type=float, default=S.sigma_min, help="minimum noise scale")
+    p.add_argument("--sigma-max", type=float, default=S.sigma_max, help="maximum noise scale")
+    p.add_argument("--t-min", type=float, default=S.t_min, help="minimum process time")
     _add_stft_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -179,14 +172,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
     _add_stft_flags(p)
     p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("validate-sde", formatter_class=_fmt,
-                       help="check the closed-form kernel variance against its ODE",
-                       description="Integrate the variance ODE and compare to the closed form.")
-    p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
-    p.add_argument("--ode-steps", type=_at_least(1), default=10000, help="RK4 grid resolution")
-    _add_schedule_flags(p)
-    p.set_defaults(func=cmd_validate_sde)
 
     p = sub.add_parser("benchmark", formatter_class=_fmt,
                        help="mix, enhance, and report SI-SDR over a corpus",
@@ -337,6 +322,8 @@ def _wav_files(directory) -> list[str]:
 def cmd_train(args) -> int:
     if not args.synthetic and not args.data:
         raise _UsageError("train needs --data DIR or --synthetic gaussian")
+    if args.synthetic and args.data:
+        raise _UsageError("train takes --data DIR or --synthetic gaussian, not both")
     sched = _config(sde.SdeSchedule, args)
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(score.TrainConfig, args)
@@ -364,6 +351,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_enhance(args) -> int:
+    if args.report and not args.clean:
+        raise _UsageError("--report needs --clean: the report holds metrics against the reference")
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
     print(f"# seed={args.seed}")
@@ -410,13 +399,6 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate_sde(args) -> int:
-    err = sde.variance_ode_error(_config(sde.SdeSchedule, args), n_steps=args.ode_steps)
-    verdict = "PASS" if err < ODE_TOLERANCE else "FAIL"
-    print(f"max relative error = {err:.3e} (tolerance {ODE_TOLERANCE:.0e}): {verdict}")
-    return EXIT_OK if verdict == "PASS" else EXIT_VALIDATION
-
-
 def _benchmark_pairs(args, model, sched, stft_cfg):
     """The (label, clean, noise) waveforms of the benchmark grid, as a list."""
     rng = np.random.default_rng(args.seed)
@@ -439,6 +421,9 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
 def cmd_benchmark(args) -> int:
     if not args.synthetic and not (args.clean_dir and args.noise_dir):
         raise _UsageError("benchmark needs --synthetic or both --clean-dir and --noise-dir")
+    if args.synthetic and (args.clean_dir or args.noise_dir):
+        flag = "--clean-dir" if args.clean_dir else "--noise-dir"
+        raise _UsageError(f"benchmark takes --synthetic or {flag}, not both")
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
     try:

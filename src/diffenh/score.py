@@ -1,4 +1,4 @@
-"""Score models: analytic oracles and a small trainable network.
+"""Score models: an analytic Gaussian prior and a small trainable network.
 
 All scores use one convention: a score is a complex array whose real and
 imaginary parts are the half-gradients of the log-density with respect to the
@@ -38,7 +38,7 @@ class ScoreModel:
 
 
 # ---------------------------------------------------------------------------
-# analytic priors
+# analytic prior
 
 
 @dataclass
@@ -68,70 +68,9 @@ class AnalyticGaussianPrior(ScoreModel):
             raise ValueError("AnalyticGaussianPrior: zero total variance (t=0 with var0=0)")
         return (mu - s_t) / var
 
-    def log_density(self, s_t: np.ndarray, t: float) -> float:
-        mu, var = self.marginal(t)
-        var = np.broadcast_to(np.asarray(var, dtype=np.float64), s_t.shape)
-        return float(np.sum(-np.log(np.pi * var) - np.abs(s_t - mu) ** 2 / var))
-
     def sample(self, shape, rng: np.random.Generator) -> np.ndarray:
         mu = np.broadcast_to(self.mean, shape)
         return mu + np.sqrt(np.asarray(self.var0)) * complex_randn(shape, rng)
-
-
-@dataclass
-class GmmPrior(ScoreModel):
-    """Mixture of isotropic complex Gaussians over the whole grid.
-
-    components is a list of (weight, mean, var) with positive weights summing
-    to one; each mean broadcasts against the state shape and var is a scalar.
-    """
-
-    components: list
-    sched: SdeSchedule
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("GmmPrior: empty component list")
-        w = np.array([c[0] for c in self.components], dtype=np.float64)
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"component weights must be positive and sum to 1, got {w}")
-
-    def _marginals(self, t: float, shape):
-        mom = kernel_moments(t, self.sched)
-        out = []
-        for w, mu, var in self.components:
-            out.append((w, mom.delta * np.broadcast_to(mu, shape), mom.delta**2 * var + mom.var))
-        return out
-
-    def _log_joint(self, s_t: np.ndarray, t: float) -> np.ndarray:
-        # per-component joint log density + log weight, stacked
-        parts = []
-        for w, mu, var in self._marginals(t, s_t.shape):
-            n = s_t.size
-            quad = float(np.sum(np.abs(s_t - mu) ** 2)) / var
-            parts.append(math.log(w) - n * math.log(math.pi * var) - quad)
-        return np.array(parts)
-
-    def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
-        logs = self._log_joint(s_t, t)
-        logs -= logs.max()  # log-sum-exp stabilization
-        resp = np.exp(logs)
-        resp /= resp.sum()
-        score = np.zeros(s_t.shape, dtype=np.complex128)
-        for r, (w, mu, var) in zip(resp, self._marginals(t, s_t.shape)):
-            score += r * (mu - s_t) / var
-        return score
-
-    def log_density(self, s_t: np.ndarray, t: float) -> float:
-        logs = self._log_joint(s_t, t)
-        peak = logs.max()
-        return float(peak + math.log(np.sum(np.exp(logs - peak))))
-
-    def sample(self, shape, rng: np.random.Generator) -> np.ndarray:
-        w = np.array([c[0] for c in self.components])
-        k = rng.choice(len(self.components), p=w)
-        _, mu, var = self.components[k]
-        return np.broadcast_to(mu, shape) + math.sqrt(var) * complex_randn(shape, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +265,6 @@ def _batch_coeffs(batch: TrainBatch, sched: SdeSchedule):
     delta = np.exp(-sched.gamma * batch.t)
     sig = np.sqrt([kernel_moments(float(tt), sched).var for tt in batch.t])
     return delta, sig
-
-
-def _batch_terms(batch: TrainBatch, sched: SdeSchedule):
-    """The perturbed state and the target of the whole batch."""
-    delta, sig = _batch_coeffs(batch, sched)
-    s_t = delta[:, None, None] * batch.s0 + sig[:, None, None] * batch.zeta
-    target = -batch.zeta / sig[:, None, None]
-    return s_t, target
-
-
-def dsm_loss(model: ScoreModel, batch: TrainBatch, sched: SdeSchedule) -> float:
-    """Mean over the batch of the squared 2-norm of S(s_t, t) - (-zeta/sigma).
-
-    The reference the gradient checks compare dsm_loss_and_grad against.  It
-    scores each item with model.evaluate(s_t[i], t_i), so for a ToyScoreNet
-    it uses the weights evaluate uses, the EMA ones."""
-    s_t, target = _batch_terms(batch, sched)
-    scores = np.stack([model.evaluate(s_t[i], float(ti)) for i, ti in enumerate(batch.t)])
-    resid = scores - target
-    return float(np.mean(np.sum(np.abs(resid) ** 2, axis=tuple(range(1, resid.ndim)))))
 
 
 def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule):

@@ -3,8 +3,8 @@
 The forward process is ds = -gamma * s dt + g(t) dw on complex-valued
 time-frequency grids.  Its perturbation kernel is available in closed form,
 which is what every other module builds on: sampling at arbitrary t needs no
-integration, and the closed-form variance can be cross-checked against a
-numerical solution of the variance ODE.
+integration.  The tests cross-check the closed-form variance against a
+numerical solution of the variance ODE (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def diffusion_coeff(t: float, sched: SdeSchedule) -> float:
     """Diffusion magnitude g(t) = sigma_min * r^t * sqrt(2 log r), r = sigma_max/sigma_min.
 
     Leading with sigma_min is what makes the closed-form kernel variance the
-    exact solution of the variance ODE (see variance_ode_error); a sigma_max
+    exact solution of the variance ODE (checked in tests/oracles.py); a sigma_max
     lead would make the sampler's steps disagree with kernel_moments.
     """
     _check_time(t)
@@ -96,33 +96,3 @@ def perturb(s_0: np.ndarray, t: float, sched: SdeSchedule, rng: np.random.Genera
     """Draw s_t from the kernel: delta_t * s_0 + sigma(t) * zeta."""
     mom = kernel_moments(t, sched)
     return mom.delta * s_0 + math.sqrt(mom.var) * complex_randn(s_0.shape, rng)
-
-
-def variance_ode_error(sched: SdeSchedule, n_steps: int = 10_000) -> float:
-    """Max relative error of the closed-form variance against the variance ODE.
-
-    Integrates d var/dt = -2 gamma var + g(t)^2 from 0 to 1 with fixed-step
-    RK4 and compares to kernel_moments at every grid point.  The denominator
-    is floored at a small fraction of the final variance so the t -> 0 region,
-    where the variance itself vanishes, cannot divide by zero.
-    """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-
-    def rhs(t, v):
-        return -2.0 * sched.gamma * v + diffusion_coeff(t, sched) ** 2
-
-    h = 1.0 / n_steps
-    v = 0.0
-    floor = 1e-9 * kernel_moments(1.0, sched).var
-    worst = 0.0
-    for i in range(n_steps):
-        t = i * h
-        k1 = rhs(t, v)
-        k2 = rhs(t + h / 2, v + h / 2 * k1)
-        k3 = rhs(t + h / 2, v + h / 2 * k2)
-        k4 = rhs(t + h, v + h * k3)
-        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        closed = kernel_moments((i + 1) * h, sched).var
-        worst = max(worst, abs(v - closed) / max(closed, floor))
-    return worst

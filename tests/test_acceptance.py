@@ -7,11 +7,13 @@ a module fixture; training time counts against the first of them.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from diffenh import em, metrics, noise_nmf, sampler, score, sde, signal
+from oracles import GmmPrior, dsm_loss, gaussian_log_density, variance_ode_error
 
 SEC = time.perf_counter
 
@@ -54,7 +56,7 @@ def _fd_score(log_density, s, t, eps=1e-6):
 
 def test_kernel_variance_closed_form_matches_ode(sched, record_acceptance):
     t0 = SEC()
-    err = sde.variance_ode_error(sched)
+    err = variance_ode_error(sched)
     dt = SEC() - t0
     ok = err < 1e-6 and dt < 1.0
     record_acceptance(1, "kernel variance vs ODE", ok, f"max rel err {err:.2e} in {dt:.2f}s")
@@ -88,17 +90,18 @@ def test_analytic_scores_match_finite_differences(sched, record_acceptance):
     t0 = SEC()
     rng = np.random.default_rng(3)
     gauss = score.AnalyticGaussianPrior(mean=0.3 - 0.7j, var0=1.3, sched=sched)
-    gmm = score.GmmPrior(
+    gmm = GmmPrior(
         components=[(0.5, 0.8 + 0.2j, 0.4), (0.3, -0.5j, 0.9), (0.2, -1.0 + 1.0j, 0.2)],
         sched=sched,
     )
+    models = [(gauss, partial(gaussian_log_density, gauss)), (gmm, gmm.log_density)]
     worst = 0.0
     for probe in range(100):
         t = float(rng.uniform(sched.t_min, 1.0))
-        for model in (gauss, gmm):
+        for model, log_density in models:
             s = model.sample((2, 2), rng)
             exact = model.evaluate(s, t)
-            approx = _fd_score(model.log_density, s, t)
+            approx = _fd_score(log_density, s, t)
             worst = max(worst, np.linalg.norm(exact - approx) / np.linalg.norm(approx))
     dt = SEC() - t0
     ok = worst < 1e-5 and dt < 5.0
@@ -125,7 +128,7 @@ def test_dsm_loss_oracle_zero_and_exact_gradient(sched, record_acceptance):
         def evaluate(self, s_t, t):
             return self.value[self.times.index(t)]
 
-    oracle_loss = score.dsm_loss(OracleTarget(batch), batch, sched)
+    oracle_loss = dsm_loss(OracleTarget(batch), batch, sched)
 
     net = score.ToyScoreNet(hidden=(16, 16), seed=5, dtype=np.float64, sched=sched)
     grad_batch = score.make_train_batch(dataset, 3, 4, sched, rng)
@@ -153,7 +156,7 @@ def test_dsm_loss_oracle_zero_and_exact_gradient(sched, record_acceptance):
             v = base.copy()
             v[i] += sgn * eps
             net.params = net.ema_params = unflatten(v)
-            fd[j] += sgn * score.dsm_loss(net, grad_batch, sched)
+            fd[j] += sgn * dsm_loss(net, grad_batch, sched)
         fd[j] /= 2 * eps
     rel = np.linalg.norm(analytic[idx] - fd) / np.linalg.norm(fd)
     dt = SEC() - t0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -8,17 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import diffenh
 from diffenh import cli, signal
 
 GOLDEN = Path(__file__).parent / "golden"
 
-HELP_CASES = [
-    ("help_root.txt", ["--help"]),
-    ("help_train.txt", ["train", "--help"]),
-    ("help_enhance.txt", ["enhance", "--help"]),
-    ("help_sample.txt", ["sample", "--help"]),
-    ("help_validate_sde.txt", ["validate-sde", "--help"]),
-    ("help_benchmark.txt", ["benchmark", "--help"]),
+(_SUBCOMMANDS,) = [a.choices for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+HELP_CASES = [("help_root.txt", ["--help"])] + [
+    (f"help_{command.replace('-', '_')}.txt", [command, "--help"]) for command in _SUBCOMMANDS
 ]
 
 
@@ -26,6 +25,11 @@ HELP_CASES = [
 def test_help_matches_golden(golden, argv, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_golden_files_are_the_help_of_the_commands():
+    # a removed command leaves no orphan golden; a new one cannot ship without one
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(c[0] for c in HELP_CASES)
 
 
 def test_module_entry_point():
@@ -45,22 +49,21 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from diffenh import *", namespace)
+    for name in diffenh.__all__:
+        assert namespace[name] is getattr(diffenh, name)
+
+
 def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert "a command is required" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):
-    assert cli.main(["validate-sde", "--no-such-flag"]) == cli.EXIT_USAGE
+    assert cli.main(["sample", "--no-such-flag"]) == cli.EXIT_USAGE
     assert "error" in capsys.readouterr().err
-
-
-def test_validate_sde_pass_and_fail(capsys):
-    assert cli.main(["validate-sde"]) == cli.EXIT_OK
-    assert "PASS" in capsys.readouterr().out
-    # two RK4 steps are far too coarse to meet the tolerance
-    assert cli.main(["validate-sde", "--ode-steps", "2"]) == cli.EXIT_VALIDATION
-    assert "FAIL" in capsys.readouterr().out
 
 
 def test_missing_checkpoint_is_io_error(tmp_path, capsys):
@@ -252,38 +255,52 @@ def test_config_value_may_start_with_a_dash(tmp_path):
     assert cli.build_parser().parse_args(argv).snrs == "-5,0,5"
 
 
+def _dump_sample_argv(ckpt, dump):
+    # no --hop here, so a config's hop = 0 shows as the --hop usage error
+    return ["sample", "--ckpt", str(ckpt), "--dump-spec", str(dump), "--bins", "4",
+            "--frames", "4", "--reverse-steps", "2"]
+
+
 @pytest.mark.parametrize("flag", ["--c", "--con", "--conf", "--confi"])
-def test_abbreviated_config_flag_is_a_usage_error(flag, tmp_path, capsys):
+def test_abbreviated_config_flag_is_a_usage_error(flag, tiny_ckpt, tmp_path, capsys):
     # the subcommand parser would accept the abbreviation, but the file would
-    # never be merged: validate-sde used to print PASS here
-    two = tmp_path / "two.cfg"
-    two.write_text("ode_steps = 2\n")
-    assert cli.main(["validate-sde", "--config", str(two)]) == cli.EXIT_VALIDATION
-    assert "FAIL" in capsys.readouterr().out
-    for argv in ([flag, str(two)], [f"{flag}={two}"]):
-        assert cli.main(["validate-sde", *argv]) == cli.EXIT_USAGE
+    # never be merged, and sample would write its dump at the default --hop
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("hop = 0\n")
+    dump = tmp_path / "s.spec"
+    argv = _dump_sample_argv(tiny_ckpt, dump)
+    assert cli.main(argv + ["--config", str(zero)]) == cli.EXIT_USAGE
+    assert "--hop" in capsys.readouterr().err
+    for flags in ([flag, str(zero)], [f"{flag}={zero}"]):
+        assert cli.main(argv + flags) == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert "--config" in captured.err and "PASS" not in captured.out
+        # argparse would also reject --c as ambiguous with --ckpt; the merge must reject it first
+        assert "abbreviated --config" in captured.err and "wrote" not in captured.out
+    assert not dump.exists()
 
 
 @pytest.mark.parametrize("key", ["config", "conf"])
-def test_config_file_naming_a_config_file_is_a_usage_error(key, tmp_path, capsys):
-    # only the command line's --config is merged: validate-sde used to print PASS here
-    two = tmp_path / "two.cfg"
-    two.write_text("ode_steps = 2\n")
+def test_config_file_naming_a_config_file_is_a_usage_error(key, tiny_ckpt, tmp_path, capsys):
+    # only the command line's --config is merged; reading no further, sample
+    # would write its dump at the default --hop
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("hop = 0\n")
     outer = tmp_path / "outer.cfg"
-    outer.write_text(f"# nested\n{key} = {two}\n")
-    assert cli.main(["validate-sde", "--config", str(outer)]) == cli.EXIT_USAGE
+    outer.write_text(f"# nested\n{key} = {zero}\n")
+    dump = tmp_path / "s.spec"
+    assert cli.main(_dump_sample_argv(tiny_ckpt, dump) + ["--config", str(outer)]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert f"{outer}:2:" in captured.err and "PASS" not in captured.out
+    assert f"{outer}:2:" in captured.err and "wrote" not in captured.out
+    assert not dump.exists()
 
 
-def test_config_file_errors(tmp_path, capsys):
+def test_config_file_errors(tiny_ckpt, tmp_path, capsys):
+    argv = _dump_sample_argv(tiny_ckpt, tmp_path / "s.spec")
     bad = tmp_path / "bad.cfg"
     bad.write_text("frames 8\n")
-    assert cli.main(["validate-sde", "--config", str(bad)]) == cli.EXIT_USAGE
+    assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
     assert "expected key=value" in capsys.readouterr().err
-    assert cli.main(["validate-sde", "--config", str(tmp_path / "gone.cfg")]) == cli.EXIT_IO
+    assert cli.main(argv + ["--config", str(tmp_path / "gone.cfg")]) == cli.EXIT_IO
     capsys.readouterr()
 
 
@@ -339,7 +356,8 @@ _FAST = " ".join(FAST_ENHANCE)
 
 # (id, argv, offending path); {gone} is a directory that does not exist
 IO_CASES = [
-    ("missing --config", "validate-sde --config {gone}/run.cfg", "{gone}/run.cfg"),
+    ("missing --config", "sample --config {gone}/run.cfg --ckpt {ckpt} --dump-spec {tmp}/s.spec",
+     "{gone}/run.cfg"),
     ("missing --ckpt", "sample --ckpt {gone}/c.bin --output {tmp}/o.wav", "{gone}/c.bin"),
     ("missing --input", "enhance --input {gone}/n.wav --ckpt {ckpt} --output {tmp}/o.wav "
      + _FAST, "{gone}/n.wav"),
@@ -507,8 +525,6 @@ NOTHING_TO_DO_CASES = [
      "--window-len 64 --hop 16", "--frames"),
     ("sample --frames 1", "sample --ckpt {ckpt} --output {out} --frames 1 --reverse-steps 2 "
      "--window-len 64 --hop 16", "--frames"),
-    ("validate-sde --ode-steps 0", "validate-sde --ode-steps 0", "--ode-steps"),
-    ("validate-sde --ode-steps -5", "validate-sde --ode-steps -5", "--ode-steps"),
     ("sample --bins 0", "sample --ckpt {ckpt} --dump-spec {out} --bins 0 --frames 4 "
      "--reverse-steps 2", "--bins"),
     ("sample --bins -3", "sample --ckpt {ckpt} --dump-spec {out} --bins -3 --frames 4 "
@@ -552,6 +568,13 @@ NOTHING_TO_DO_CASES = [
      "--snrs 0,inf --report {out} " + _FAST, "--snrs"),
     ("benchmark --snrs -inf", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
      "--snrs=-inf --report {out} " + _FAST, "--snrs"),
+    # the report holds metrics against the reference, so without one it would go unwritten
+    ("enhance --report without --clean", "enhance --input {noisy} --ckpt {ckpt} "
+     "--output {out}.wav --report {out} " + _FAST, "--clean"),
+    # two corpora named at once: one of them would be silently ignored
+    ("train --synthetic --data", "train " + _FAST_TRAIN + " --data {out} --out {out}", "--data"),
+    ("benchmark --synthetic --clean-dir", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
+     "--frames 16 --snrs 0 --clean-dir {out} --report {out} " + _FAST, "--clean-dir"),
 ]
 
 

@@ -11,6 +11,7 @@ from diffenh.sampler import (
     pseudo_likelihood_score,
     unconditional_sample,
 )
+from oracles import GmmPrior
 
 SCHED = sde.SdeSchedule()
 
@@ -209,7 +210,7 @@ def test_unconditional_determinism():
 
 def test_gmm_component_occupancy():
     comps = [(0.7, 1.0 + 0j, 0.05), (0.3, -1.0 + 0j, 0.05)]
-    prior = score.GmmPrior(comps, SCHED)
+    prior = GmmPrior(comps, SCHED)
     rng = np.random.default_rng(17)
     cfg = SamplerConfig()
     hits = 0

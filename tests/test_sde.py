@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffenh import sde
+from oracles import variance_ode_error
 
 
 def test_schedule_defaults():
@@ -70,7 +71,7 @@ def test_marginal_variance_at_one():
 
 
 def test_variance_ode_matches_closed_form():
-    err = sde.variance_ode_error(sde.SdeSchedule())
+    err = variance_ode_error(sde.SdeSchedule())
     assert err < 1e-6
 
 
@@ -81,14 +82,14 @@ def test_variance_ode_flags_wrong_leading_coefficient(monkeypatch):
         )
 
     monkeypatch.setattr(sde, "diffusion_coeff", sigma_max_led)
-    err = sde.variance_ode_error(sde.SdeSchedule())
+    err = variance_ode_error(sde.SdeSchedule())
     assert err > 1.0
 
 
 @pytest.mark.parametrize("n_steps", [0, -5])
 def test_variance_ode_rejects_nonpositive_steps(n_steps):
     with pytest.raises(ValueError, match=f"got {n_steps}"):
-        sde.variance_ode_error(sde.SdeSchedule(), n_steps=n_steps)
+        variance_ode_error(sde.SdeSchedule(), n_steps=n_steps)
 
 
 def test_complex_randn_moments():
