@@ -16,7 +16,7 @@ from .score import (
     save_checkpoint,
     load_checkpoint,
 )
-from .sampler import SamplerConfig, GuidanceContext, posterior_sample, unconditional_sample
+from .sampler import SamplerConfig, posterior_sample, unconditional_sample
 from .noise_nmf import NmfParams, init_nmf, is_objective, update_step, m_step
 from .em import EnhancementConfig, EnhancementResult, enhance_spectrogram, enhance_waveform
 from .metrics import MetricReport, si_sdr, evaluate_pair
@@ -41,7 +41,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "SamplerConfig",
-    "GuidanceContext",
     "posterior_sample",
     "unconditional_sample",
     "NmfParams",

@@ -71,10 +71,6 @@ def _add_enhance_flags(p):
     p.add_argument("--em-iters", type=int, default=E.em_iters, help="EM iterations (K)")
     p.add_argument("--reverse-steps", type=int, default=E.reverse_steps,
                    help="reverse sampling steps (N)")
-    p.add_argument("--posterior-every", type=int, default=E.posterior_every,
-                   help="posterior update stride (ell)")
-    p.add_argument("--lambda", dest="guidance_weight", type=float, default=E.guidance_weight,
-                   help="posterior guidance weight")
     p.add_argument("--nmf-rank", type=int, default=E.nmf_rank, help="noise model rank (r)")
     p.add_argument("--batch", type=int, default=E.batch,
                    help="posterior chains averaged per E-step (b)")

@@ -2,9 +2,11 @@
 
 Each of the K iterations draws b posterior-sample chains under the current
 noise variances, averages them elementwise into the clean estimate, then
-refits the NMF noise model to the residual power.  Chain seeds come from a
-counter-based split of the master seed so results do not depend on execution
-order.
+refits the NMF noise model to the residual power.  Each chain samples the
+posterior of the clean grid given the mixture and those variances (see
+sampler.py), with no weight to tune; under a unit Gaussian prior that E-step
+is exact.  Chain seeds come from a counter-based split of the master seed so
+results do not depend on execution order.
 
 The chains of an E-step run concurrently on one process-wide thread pool with
 one worker per usable CPU (numpy releases the interpreter lock in its
@@ -18,6 +20,7 @@ to the pool: with every worker waiting on queued work, it would deadlock.
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -52,29 +55,26 @@ if hasattr(os, "register_at_fork"):
 
 @dataclass(frozen=True)
 class EnhancementConfig:
+    """posterior_every is accepted and ignored: every sampler step uses the
+    posterior score.  It is kept only so that callers still passing it run."""
+
     em_iters: int = 5
     reverse_steps: int = 30
-    posterior_every: int = 2
-    guidance_weight: float = 1.5
+    posterior_every: int = 1
     nmf_rank: int = 4
     batch: int = 4
     seed: int = 0
     nmf_inner_updates: int = 20
 
     def __post_init__(self):
-        for name in ("em_iters", "reverse_steps", "posterior_every", "nmf_rank", "batch",
-                     "nmf_inner_updates"):
+        for name in ("em_iters", "reverse_steps", "nmf_rank", "batch", "nmf_inner_updates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.guidance_weight < 0:
-            raise ValueError(f"guidance_weight must be >= 0, got {self.guidance_weight}")
+        if self.posterior_every != 1:
+            warnings.warn("posterior_every is ignored", DeprecationWarning, stacklevel=3)
 
     def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(
-            n_steps=self.reverse_steps,
-            posterior_every=self.posterior_every,
-            guidance_weight=self.guidance_weight,
-        )
+        return SamplerConfig(n_steps=self.reverse_steps)
 
 
 @dataclass

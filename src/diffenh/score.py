@@ -355,8 +355,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         lows = {"batch_size": 1, "epochs": 0, "steps_per_epoch": 1, "patch_frames": 1}
         for name, low in lows.items():
             if getattr(self, name) < low:

@@ -29,11 +29,12 @@ class SdeSchedule:
     t_min: float = 0.03
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0 < self.sigma_min < self.sigma_max:
+        # chained comparisons with math.inf also reject nan
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0 < self.sigma_min < self.sigma_max < math.inf:
             raise ValueError(
-                f"need 0 < sigma_min < sigma_max, got {self.sigma_min}, {self.sigma_max}"
+                f"need 0 < sigma_min < sigma_max < inf, got {self.sigma_min}, {self.sigma_max}"
             )
         if not 0 < self.t_min < 1:
             raise ValueError(f"t_min must lie in (0, 1), got {self.t_min}")

@@ -59,8 +59,8 @@ class StftConfig:
             raise ValueError(f"need 0 < hop <= window_len, got {self.hop}, {self.window_len}")
         if not 0 < self.compress_alpha <= 1:
             raise ValueError(f"compress_alpha must lie in (0, 1], got {self.compress_alpha}")
-        if self.compress_beta <= 0:
-            raise ValueError(f"compress_beta must be positive, got {self.compress_beta}")
+        if not 0 < self.compress_beta < math.inf:
+            raise ValueError(f"compress_beta must be finite and positive, got {self.compress_beta}")
 
     @property
     def f_bins(self) -> int:

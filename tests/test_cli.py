@@ -553,6 +553,13 @@ NOTHING_TO_DO_CASES = [
     ("enhance --seed -1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --seed -1", "--seed"),
     ("train --seed -1", "train " + _FAST_TRAIN + " --seed -1 --out {out}", "--seed"),
+    # nan passes every plain comparison, and inf passes a lower bound
+    ("train --gamma nan", "train " + _FAST_TRAIN + " --gamma nan --out {out}", "--gamma"),
+    ("train --sigma-max inf", "train " + _FAST_TRAIN + " --sigma-max inf --out {out}",
+     "--sigma-max"),
+    ("train --lr inf", "train " + _FAST_TRAIN + " --lr inf --out {out}", "--lr"),
+    ("enhance --beta nan", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
+     + " --beta nan", "--beta"),
     ("sample --reverse-steps 0", "sample --ckpt {ckpt} --dump-spec {out} --frames 4 "
      "--reverse-steps 0", "--reverse-steps"),
     # 16 bins make a grid that 64-sample windows cannot synthesize, so nothing may be written

@@ -11,7 +11,7 @@ import pytest
 from diffenh import em
 from diffenh.em import EnhancementConfig, enhance_spectrogram, enhance_waveform
 from diffenh.noise_nmf import init_nmf, m_step
-from diffenh.sampler import posterior_sample
+from diffenh.sampler import SamplerConfig, posterior_sample
 from diffenh.score import AnalyticGaussianPrior, ToyScoreNet
 from diffenh.sde import SdeSchedule
 from diffenh.signal import StftConfig, Waveform, mix_at_snr
@@ -27,12 +27,10 @@ def test_config_validation():
         EnhancementConfig(em_iters=0)
     with pytest.raises(ValueError, match=r"^batch must be >= 1, got 0$"):
         EnhancementConfig(batch=0)
-    with pytest.raises(ValueError, match=r"^guidance_weight must be >= 0, got -0.1$"):
-        EnhancementConfig(guidance_weight=-0.1)
-    scfg = EnhancementConfig(reverse_steps=12, posterior_every=3, guidance_weight=2.0).sampler_config()
-    assert scfg.n_steps == 12
-    assert scfg.posterior_every == 3
-    assert scfg.guidance_weight == 2.0
+    assert EnhancementConfig().sampler_config() == SamplerConfig()
+    with pytest.warns(DeprecationWarning, match=r"^posterior_every is ignored$"):
+        cfg = EnhancementConfig(reverse_steps=12, posterior_every=3)
+    assert cfg.sampler_config() == SamplerConfig(n_steps=12)
 
 
 def test_trace_structure_and_nmf_refit(sched):

@@ -1,14 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from diffenh import sde, score, sampler
 from diffenh.sampler import (
-    GuidanceContext,
     SamplerConfig,
     corrector_step,
     posterior_sample,
     predictor_step,
-    pseudo_likelihood_score,
     unconditional_sample,
 )
 from oracles import GmmPrior
@@ -34,6 +34,18 @@ class NanScore(score.ScoreModel):
         return np.full_like(s_t, np.nan)
 
 
+class CountingScore(score.ScoreModel):
+    """Counts the evaluations it passes on to the unit Gaussian prior's score."""
+
+    def __init__(self):
+        self.prior = score.AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
+        self.calls = 0
+
+    def evaluate(self, s_t, t):
+        self.calls += 1
+        return self.prior.evaluate(s_t, t)
+
+
 class ZeroRng:
     """Stands in for a Generator; silences the stochastic terms."""
 
@@ -44,18 +56,17 @@ class ZeroRng:
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(n_steps=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(posterior_every=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(guidance_weight=-0.5)
 
 
-def test_guidance_context_validation():
+def test_posterior_sample_broadcasts_and_checks_noise_variances():
     x = np.zeros((3, 4), complex)
-    ctx = GuidanceContext(x=x, v_phi=np.float64(1.0))
-    assert ctx.v_phi.shape == x.shape
-    with pytest.raises(ValueError):
-        GuidanceContext(x=x, v_phi=-np.ones((3, 4)))
+    cfg = SamplerConfig(n_steps=2)
+    prior = score.AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
+    rng = np.random.default_rng(0)
+    assert posterior_sample(x, prior, SCHED, cfg, np.float64(1.0), rng).shape == x.shape
+    for bad in (-np.ones((3, 4)), np.nan, np.inf):
+        with pytest.raises(ValueError, match="v_phi must be finite and nonnegative"):
+            posterior_sample(x, prior, SCHED, cfg, bad, rng)
 
 
 def test_corrector_zero_score_zero_noise_is_identity():
@@ -113,30 +124,39 @@ def test_nonfinite_score_aborts():
         unconditional_sample((2, 2), NanScore(), SCHED, SamplerConfig(), rng)
 
 
-def test_pseudo_likelihood_zero_at_mode():
+def _posterior_score(model, x, v, s, tau):
+    return sampler._PosteriorScore(model, x, np.broadcast_to(v, x.shape), SCHED).evaluate(s, tau)
+
+
+def test_posterior_score_equals_prior_score_at_tweedie_mean():
+    # the likelihood term vanishes where delta * x = s + sigma^2 * S
     rng = np.random.default_rng(1)
-    x = sde.complex_randn((3, 4), rng)
-    ctx = GuidanceContext(x=x, v_phi=np.full((3, 4), 0.7))
+    prior = score.AnalyticGaussianPrior(mean=0.3 - 0.2j, var0=1.7, sched=SCHED)
+    s = sde.complex_randn((3, 4), rng)
     tau = 0.4
-    delta = sde.kernel_moments(tau, SCHED).delta
-    out = pseudo_likelihood_score(delta * x, tau, ctx, SCHED)
-    assert np.max(np.abs(out)) < 1e-12
+    mom = sde.kernel_moments(tau, SCHED)
+    S = prior.evaluate(s, tau)
+    x = (s + mom.var * S) / mom.delta
+    out = _posterior_score(prior, x, np.full((3, 4), 0.7), s, tau)
+    assert np.max(np.abs(out - S)) < 1e-12
 
 
-def test_pseudo_likelihood_matches_finite_differences():
+def test_posterior_score_matches_finite_differences():
+    # under the unit prior, the prior plus log N_C(x; delta s/m, sigma^2/m + v)
     rng = np.random.default_rng(2)
     x = sde.complex_randn((2, 3), rng)
     v = rng.uniform(0.2, 2.0, (2, 3))
-    ctx = GuidanceContext(x=x, v_phi=v)
     tau = 0.55
     mom = sde.kernel_moments(tau, SCHED)
-    denom = mom.var / mom.delta**2 + v
+    m = mom.delta**2 + mom.var
+    prior = score.AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
 
     def logp(s):
-        return float(np.sum(-np.abs(x - s / mom.delta) ** 2 / denom))
+        return float(np.sum(-np.abs(s) ** 2 / m
+                            - np.abs(x - mom.delta * s / m) ** 2 / (mom.var / m + v)))
 
     s = sde.complex_randn((2, 3), rng)
-    exact = pseudo_likelihood_score(s, tau, ctx, SCHED)
+    exact = _posterior_score(prior, x, v, s, tau)
     eps = 1e-6
     fd = np.zeros_like(s)
     for idx in np.ndindex(s.shape):
@@ -148,48 +168,79 @@ def test_pseudo_likelihood_matches_finite_differences():
     assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) < 1e-5
 
 
-def test_pseudo_likelihood_vanishes_with_infinite_noise():
-    x = np.ones((2, 2), complex)
-    ctx = GuidanceContext(x=x, v_phi=np.full((2, 2), 1e12))
-    out = pseudo_likelihood_score(np.zeros((2, 2), complex), 0.5, ctx, SCHED)
-    assert np.max(np.abs(out)) < 1e-10
-
-
-def test_posterior_conjugate_oracle():
+def test_posterior_score_tends_to_prior_score_with_infinite_noise():
     prior = score.AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
-    rng = np.random.default_rng(5)
-    x = 3.0 * np.exp(2j * np.pi * rng.random((6, 10)))
-    v = np.ones_like(x.real)
-    crng = np.random.default_rng(33)
-    chains = [posterior_sample(x, prior, SCHED, SamplerConfig(), v, crng) for _ in range(200)]
-    s_hat = np.mean(chains, axis=0)
-    rel = np.linalg.norm(s_hat - x / 2) / np.linalg.norm(x / 2)
-    assert rel < 0.10
+    s = np.zeros((2, 2), complex)
+    out = _posterior_score(prior, np.ones((2, 2), complex), 1e12, s, 0.5)
+    assert np.max(np.abs(out - prior.evaluate(s, 0.5))) < 1e-10
 
 
-def test_guidance_weight_increases_data_pull():
+@pytest.mark.parametrize("v", [0.1, 1.0, 10.0])
+def test_posterior_conjugate_oracle(v):
+    # x = s_0 + n with s_0 ~ N_C(0, 1), n ~ N_C(0, v): the posterior is
+    # N_C(x/(1+v), v/(1+v)) at every noise level, not only where v = 1
     prior = score.AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
-    rng = np.random.default_rng(5)
-    x = 3.0 * np.exp(2j * np.pi * rng.random((4, 8)))
-    v = np.ones_like(x.real)
-    dists = []
-    for lam in (0.5, 1.5, 3.0):
-        cfg = SamplerConfig(guidance_weight=lam)
-        crng = np.random.default_rng(7)
-        chains = [posterior_sample(x, prior, SCHED, cfg, v, crng) for _ in range(50)]
-        dists.append(np.linalg.norm(np.mean(chains, axis=0) - x))
-    assert dists[0] > dists[1] > dists[2]
+    rng = np.random.default_rng(0)
+    x = np.sqrt(1 + v) * sde.complex_randn((16, 32), rng)
+    v_phi = np.full((16, 32), v)
+    chains = np.stack([posterior_sample(x, prior, SCHED, SamplerConfig(), v_phi, rng)
+                       for _ in range(64)])
+    slope = np.vdot(x, chains.mean(axis=0)).real / np.vdot(x, x).real
+    variance = np.mean(np.var(chains, axis=0, ddof=1))
+    assert slope == pytest.approx(1 / (1 + v), rel=0.10)
+    assert variance == pytest.approx(v / (1 + v), rel=0.10)
 
 
-def test_zero_guidance_matches_unconditional_statistics():
+def test_infinite_noise_matches_unconditional_statistics():
     prior = score.AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
-    cfg = SamplerConfig(guidance_weight=0.0, posterior_every=1)
     x = np.zeros((4000,), complex)
-    v = np.ones(4000)
-    post = posterior_sample(x, prior, SCHED, cfg, v, np.random.default_rng(11))
+    v = np.full(4000, 1e12)
+    post = posterior_sample(x, prior, SCHED, SamplerConfig(), v, np.random.default_rng(11))
     unc = unconditional_sample((4000,), prior, SCHED, SamplerConfig(), np.random.default_rng(12))
     assert abs(post.mean()) < 0.05
     assert np.mean(np.abs(post) ** 2) == pytest.approx(np.mean(np.abs(unc) ** 2), rel=0.10)
+
+
+@pytest.mark.parametrize("n_steps", [1, 5])
+def test_each_chain_makes_2n_plus_1_evaluations(n_steps):
+    cfg = SamplerConfig(n_steps=n_steps)
+    rng = np.random.default_rng(0)
+    model = CountingScore()
+    posterior_sample(np.ones((3, 4), complex), model, SCHED, cfg, np.ones((3, 4)), rng)
+    assert model.calls == 2 * n_steps + 1
+    model = CountingScore()
+    unconditional_sample((3, 4), model, SCHED, cfg, rng)
+    assert model.calls == 2 * n_steps + 1
+
+
+def _reference_unconditional(shape, model, sched, n_steps, rng):
+    """The unguided predictor-corrector loop as first written, operation for operation."""
+    s = math.sqrt(sde.kernel_moments(1.0, sched).var) * sde.complex_randn(shape, rng)
+    t_min = sched.t_min
+    dtau = (1.0 - t_min) / n_steps
+    for i in range(n_steps, 0, -1):
+        tau = t_min + (i / n_steps) * (1.0 - t_min)
+        eps = (math.sqrt(sde.kernel_moments(tau, sched).var) / 2.0) ** 2
+        score_c = model.evaluate(s, tau)
+        s = s + eps * score_c + math.sqrt(2.0 * eps) * sde.complex_randn(s.shape, rng)
+        g = sde.diffusion_coeff(tau, sched)
+        score_p = model.evaluate(s, tau)
+        noise = g * math.sqrt(dtau) * sde.complex_randn(s.shape, rng)
+        s = s + sched.gamma * s * dtau + g**2 * score_p * dtau + noise
+    mom = sde.kernel_moments(t_min, sched)
+    return (s + mom.var * model.evaluate(s, t_min)) / mom.delta
+
+
+@pytest.mark.parametrize("shape", [(1,), (5, 7), (33, 20)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_steps", [1, 4, 30])
+def test_unconditional_sample_equals_reference_loop_bit_for_bit(shape, seed, n_steps):
+    # it draws the benchmark corpora and `diffenh sample` output, which must not move
+    net = score.ToyScoreNet(hidden=(8, 8), seed=seed, sched=SCHED)
+    cfg = SamplerConfig(n_steps=n_steps)
+    got = unconditional_sample(shape, net, SCHED, cfg, np.random.default_rng(seed))
+    want = _reference_unconditional(shape, net, SCHED, n_steps, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
 
 
 def test_unconditional_gaussian_moments():

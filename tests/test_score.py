@@ -575,8 +575,11 @@ def test_resumed_training_takes_a_fresh_first_adam_step():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match=r"lr must be > 0, got 0.0"):
+    with pytest.raises(ValueError, match=r"lr must be finite and > 0, got 0.0"):
         TrainConfig(lr=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"lr must be finite and > 0, got {bad}"):
+            TrainConfig(lr=bad)
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="patch_frames must be >= 1, got 0"):

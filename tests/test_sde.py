@@ -16,9 +16,12 @@ def test_schedule_defaults():
     "kwargs",
     [
         {"gamma": -0.1},
+        {"gamma": float("nan")},
+        {"gamma": float("inf")},
         {"sigma_min": 0.0},
         {"sigma_min": 0.6},  # must stay below sigma_max
         {"sigma_max": -1.0},
+        {"sigma_max": float("inf")},
         {"t_min": 0.0},
         {"t_min": 1.5},
     ],

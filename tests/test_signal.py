@@ -37,8 +37,9 @@ def test_stft_config_validation():
         StftConfig(window_len=510, hop=511)
     with pytest.raises(ValueError):
         StftConfig(compress_alpha=0.0)
-    with pytest.raises(ValueError):
-        StftConfig(compress_beta=-1.0)
+    for beta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            StftConfig(compress_beta=beta)
 
 
 def test_f_bins_default():
