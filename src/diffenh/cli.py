@@ -44,6 +44,10 @@ class _IoError(OSError):
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags match exactly, so a new flag cannot change what an abbreviation meant
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # contract: usage errors exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -102,7 +106,7 @@ def _hidden_widths(text: str) -> tuple[int, ...]:
 def build_parser() -> _Parser:
     root = _Parser(prog="diffenh", formatter_class=_fmt,
                    description="Speech enhancement with a diffusion prior and an NMF noise model.")
-    sub = root.add_subparsers(dest="command", metavar="COMMAND")
+    sub = root.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("train", formatter_class=_fmt,
                        help="train the score network",
@@ -160,9 +164,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
     p.add_argument("--output", help="WAV path for the synthesized sample")
     p.add_argument("--dump-spec", metavar="FILE", help="write the raw spectrogram grid dump")
-    p.add_argument("--bins", type=_at_least(1), default=None,
-                   help="spectrogram bins (default: the STFT bin count)")
-    p.add_argument("--frames", type=_at_least(1), default=128, help="spectrogram frames")
+    p.add_argument("--frames", type=_at_least(2), default=128, help="spectrogram frames")
     p.add_argument("--reverse-steps", dest="n_steps", metavar="REVERSE_STEPS", type=int,
                    default=SamplerConfig.n_steps, help="reverse sampling steps (N)")
     p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
@@ -198,11 +200,6 @@ def build_parser() -> _Parser:
 # config-file merge
 
 
-def _is_config_flag(flag) -> bool:
-    """Whether a subcommand parser, which allows abbreviations, would read flag as --config."""
-    return len(flag) > 2 and "--config".startswith(flag)
-
-
 def _config_tokens(path) -> list[str]:
     with open(path) as fh:
         lines = fh.readlines()
@@ -215,7 +212,7 @@ def _config_tokens(path) -> list[str]:
             raise _UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if _is_config_flag(flag):
+        if flag == "--config":
             # only the command line's --config is expanded, so the file would go unread
             raise _UsageError(f"{path}:{ln}: {key!r} sets --config, but a config file may not "
                               "name another config file")
@@ -230,15 +227,9 @@ def _config_tokens(path) -> list[str]:
 
 def _merge_config(argv: list[str]) -> list[str]:
     """Expand --config FILE into its tokens, placed before the explicit flags."""
-    pre = _Parser(prog="diffenh", add_help=False, allow_abbrev=False)
+    pre = _Parser(prog="diffenh", add_help=False)
     pre.add_argument("--config", metavar="FILE")
     known, rest = pre.parse_known_args(argv)
-    for token in rest:
-        # a subcommand parser would take --conf as --config, and the file go unread
-        flag = token.split("=", 1)[0]
-        if _is_config_flag(flag):
-            raise _UsageError(f"diffenh: error: {flag}: an abbreviated --config is not read; "
-                              "write --config in full")
     # insert right after the subcommand so later (explicit) flags override
     return argv if known.config is None else rest[:1] + _config_tokens(known.config) + rest[1:]
 
@@ -258,18 +249,16 @@ def _config(cls, args):
         raise _UsageError(f"diffenh {args.command}: error: {message}") from exc
 
 
-def _load_checkpoint(path):
+def _read(load, path):
+    """load(path), with a malformed file (ValueError) reported as an I/O error."""
     try:
-        return score.load_checkpoint(path)
+        return load(path)
     except ValueError as exc:
         raise _IoError(str(exc)) from exc
 
 
 def _load_wav(path) -> signal.Waveform:
-    try:
-        w = signal.load_wav(path)
-    except ValueError as exc:
-        raise _IoError(str(exc)) from exc
+    w = _read(signal.load_wav, path)
     if w.sample_rate != 16000:
         raise _IoError(f"{path}: pipeline expects 16 kHz input, got {w.sample_rate} Hz")
     return w
@@ -325,7 +314,7 @@ def cmd_train(args) -> int:
     cfg = _config(score.TrainConfig, args)
     print(f"# seed={args.seed}")
     if args.resume:
-        model, sched = _load_checkpoint(args.resume)
+        model, sched = _read(score.load_checkpoint, args.resume)
     else:
         model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed, sched=sched)
     if args.synthetic:
@@ -352,7 +341,7 @@ def cmd_enhance(args) -> int:
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
     print(f"# seed={args.seed}")
-    model, sched = _load_checkpoint(args.ckpt)
+    model, sched = _read(score.load_checkpoint, args.ckpt)
     noisy = _load_wav(args.input)
     clean = _load_audible("--clean", args.clean) if args.clean else None
     if clean is not None and len(clean) != len(noisy):
@@ -373,19 +362,12 @@ def cmd_enhance(args) -> int:
 def cmd_sample(args) -> int:
     if not args.output and not args.dump_spec:
         raise _UsageError("sample needs --output and/or --dump-spec")
-    # a WAV of (frames - 1) hops needs two frames to hold any sample
-    if args.output and args.frames < 2:
-        raise _UsageError(f"--frames must be at least 2 with --output, got {args.frames}")
     stft_cfg = _config(signal.StftConfig, args)
     scfg = _config(SamplerConfig, args)
-    bins = args.bins if args.bins is not None else stft_cfg.f_bins
-    if args.output and bins != stft_cfg.f_bins:
-        raise _UsageError(f"cannot synthesize audio from --bins {bins}: --window-len "
-                          f"{stft_cfg.window_len} makes {stft_cfg.f_bins} bins")
     print(f"# seed={args.seed}")
-    model, sched = _load_checkpoint(args.ckpt)
+    model, sched = _read(score.load_checkpoint, args.ckpt)
     rng = np.random.default_rng(args.seed)
-    spec = unconditional_sample((bins, args.frames), model, sched, scfg, rng)
+    spec = unconditional_sample((stft_cfg.f_bins, args.frames), model, sched, scfg, rng)
     if args.dump_spec:
         signal.dump_spectrogram(args.dump_spec, spec)
         print(f"wrote {args.dump_spec}")
@@ -433,7 +415,7 @@ def cmd_benchmark(args) -> int:
         _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,
                         f"a synthetic utterance of --frames {args.frames}", stft_cfg)
     print(f"# seed={args.seed}")
-    model, sched = _load_checkpoint(args.ckpt)
+    model, sched = _read(score.load_checkpoint, args.ckpt)
     pairs = _benchmark_pairs(args, model, sched, stft_cfg)
     tasks = []
     for label, clean, noise in pairs:
@@ -466,14 +448,8 @@ def cmd_benchmark(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _merge_config(argv)
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            parser.print_usage(sys.stderr)
-            print("diffenh: error: a command is required", file=sys.stderr)
-            return EXIT_USAGE
+        args = build_parser().parse_args(_merge_config(argv))
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

@@ -46,11 +46,7 @@ class MetricReport:
         return self.si_sdr - self.input_si_sdr
 
     def as_lines(self) -> str:
-        return (
-            f"si_sdr_db={self.si_sdr:.4f}\n"
-            f"input_si_sdr_db={self.input_si_sdr:.4f}\n"
-            f"delta_db={self.delta:.4f}\n"
-        )
+        return "".join(f"{key}={value:.4f}\n" for key, value in self.as_dict().items())
 
     def as_dict(self) -> dict:
         return {

@@ -262,9 +262,8 @@ def _batch_coeffs(batch: TrainBatch, sched: SdeSchedule):
     delta_t * s0 + sigma(t) * zeta and the target is -zeta / sigma(t)."""
     if np.any(batch.t < sched.t_min) or np.any(batch.t > 1.0):
         raise ValueError("training times must lie in [t_min, 1]")
-    delta = np.exp(-sched.gamma * batch.t)
-    sig = np.sqrt([kernel_moments(float(tt), sched).var for tt in batch.t])
-    return delta, sig
+    moments = [kernel_moments(float(tt), sched) for tt in batch.t]
+    return np.array([mom.delta for mom in moments]), np.sqrt([mom.var for mom in moments])
 
 
 def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule):
@@ -457,7 +456,10 @@ def load_checkpoint(path):
         gamma, smin, smax, tmin, g_code = struct.unpack("<ddddI", _read_exact(fh, 36, path))
         if g_code != 0:
             raise ValueError(f"{path}: unknown diffusion-coefficient code {g_code}, expected 0")
-        sched = SdeSchedule(gamma=gamma, sigma_min=smin, sigma_max=smax, t_min=tmin)
+        try:
+            sched = SdeSchedule(gamma=gamma, sigma_min=smin, sigma_max=smax, t_min=tmin)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad noise schedule: {exc}") from None
         (n_sizes,) = struct.unpack("<I", _read_exact(fh, 4, path))
         sizes = struct.unpack(f"<{n_sizes}I", _read_exact(fh, 4 * n_sizes, path))
         (n_freqs,) = struct.unpack("<I", _read_exact(fh, 4, path))

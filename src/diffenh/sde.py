@@ -38,6 +38,18 @@ class SdeSchedule:
             )
         if not 0 < self.t_min < 1:
             raise ValueError(f"t_min must lie in (0, 1), got {self.t_min}")
+        # the sampler divides by delta(t_min) and sigma^2(t_min); sigma^2 rises
+        # with t, so its two ends bound it on [t_min, 1]
+        try:
+            low, high = kernel_moments(self.t_min, self), kernel_moments(1.0, self)
+            usable = (low.delta > 0 and low.var > 0 and math.isfinite(1 / low.var)
+                      and math.isfinite(high.var))
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(f"gamma={self.gamma}, sigma_min={self.sigma_min}, sigma_max="
+                             f"{self.sigma_max} and t_min={self.t_min} give a noise kernel that "
+                             "vanishes or overflows in float64")
 
     @property
     def log_ratio(self) -> float:

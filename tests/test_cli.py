@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -58,7 +59,7 @@ def test_star_import_resolves_every_public_name():
 
 def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
-    assert "a command is required" in capsys.readouterr().err
+    assert "the following arguments are required: COMMAND" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -104,6 +105,26 @@ def test_train_writes_checkpoint(tiny_ckpt, capsys):
     assert "# seed=0" in out
     assert "epoch 1: loss" in out
     assert other.read_bytes() == tiny_ckpt.read_bytes()
+
+
+def test_train_resume_keeps_the_checkpoint_schedule_and_sizes(tiny_ckpt, tmp_path, capsys):
+    from diffenh import score
+
+    out = tmp_path / "resumed.bin"
+    rc = cli.main(
+        [
+            "train", "--synthetic", "gaussian", "--resume", str(tiny_ckpt), "--out", str(out),
+            "--items", "2", "--bins", "8", "--frames", "16", "--patch-frames", "8",
+            "--hidden", "4", "--gamma", "2.0", "--epochs", "1", "--steps-per-epoch", "2",
+        ]
+    )
+    assert rc == cli.EXIT_OK
+    assert "step 4" in capsys.readouterr().out
+    # the checkpoint's schedule and architecture win over --gamma and --hidden
+    (before, before_sched), (after, after_sched) = map(score.load_checkpoint, (tiny_ckpt, out))
+    assert (before.step, after.step) == (2, 4)
+    assert after.sizes == before.sizes == (before.sizes[0], 8, 2)
+    assert after_sched == before_sched and after_sched.gamma != 2.0
 
 
 def test_train_without_data_source_is_usage_error(tmp_path, capsys):
@@ -257,14 +278,14 @@ def test_config_value_may_start_with_a_dash(tmp_path):
 
 def _dump_sample_argv(ckpt, dump):
     # no --hop here, so a config's hop = 0 shows as the --hop usage error
-    return ["sample", "--ckpt", str(ckpt), "--dump-spec", str(dump), "--bins", "4",
-            "--frames", "4", "--reverse-steps", "2"]
+    return ["sample", "--ckpt", str(ckpt), "--dump-spec", str(dump), "--frames", "4",
+            "--reverse-steps", "2"]
 
 
 @pytest.mark.parametrize("flag", ["--c", "--con", "--conf", "--confi"])
 def test_abbreviated_config_flag_is_a_usage_error(flag, tiny_ckpt, tmp_path, capsys):
-    # the subcommand parser would accept the abbreviation, but the file would
-    # never be merged, and sample would write its dump at the default --hop
+    # flags match exactly: an abbreviation is an unknown flag, so the file is
+    # not silently skipped and sample does not write its dump at the default --hop
     zero = tmp_path / "zero.cfg"
     zero.write_text("hop = 0\n")
     dump = tmp_path / "s.spec"
@@ -274,13 +295,15 @@ def test_abbreviated_config_flag_is_a_usage_error(flag, tiny_ckpt, tmp_path, cap
     for flags in ([flag, str(zero)], [f"{flag}={zero}"]):
         assert cli.main(argv + flags) == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        # argparse would also reject --c as ambiguous with --ckpt; the merge must reject it first
-        assert "abbreviated --config" in captured.err and "wrote" not in captured.out
+        assert "unrecognized arguments" in captured.err and "wrote" not in captured.out
     assert not dump.exists()
 
 
-@pytest.mark.parametrize("key", ["config", "conf"])
-def test_config_file_naming_a_config_file_is_a_usage_error(key, tiny_ckpt, tmp_path, capsys):
+# a conf key is an unknown flag like any other, so only a config key names its line
+@pytest.mark.parametrize("key,error", [("config", "{outer}:2:"),
+                                       ("conf", "unrecognized arguments: --conf={zero}")],
+                         ids=["config", "conf"])
+def test_config_file_naming_a_config_file_is_a_usage_error(key, error, tiny_ckpt, tmp_path, capsys):
     # only the command line's --config is merged; reading no further, sample
     # would write its dump at the default --hop
     zero = tmp_path / "zero.cfg"
@@ -290,7 +313,7 @@ def test_config_file_naming_a_config_file_is_a_usage_error(key, tiny_ckpt, tmp_p
     dump = tmp_path / "s.spec"
     assert cli.main(_dump_sample_argv(tiny_ckpt, dump) + ["--config", str(outer)]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
-    assert f"{outer}:2:" in captured.err and "wrote" not in captured.out
+    assert error.format(outer=outer, zero=zero) in captured.err and "wrote" not in captured.out
     assert not dump.exists()
 
 
@@ -302,6 +325,23 @@ def test_config_file_errors(tiny_ckpt, tmp_path, capsys):
     assert "expected key=value" in capsys.readouterr().err
     assert cli.main(argv + ["--config", str(tmp_path / "gone.cfg")]) == cli.EXIT_IO
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_config_true_sets_and_false_leaves_unset_a_switch(value, tiny_ckpt, tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"synthetic = {value}\n")
+    report = tmp_path / "r.json"
+    rc = cli.main(["benchmark", "--config", str(cfg), "--ckpt", str(tiny_ckpt), "--utterances", "1",
+                   "--frames", "16", "--snrs", "0", "--report", str(report), *FAST_ENHANCE])
+    captured = capsys.readouterr()
+    if value == "true":
+        assert rc == cli.EXIT_OK
+        assert "synthetic-000@+0dB" in captured.out and report.exists()
+    else:
+        assert rc == cli.EXIT_USAGE
+        assert "needs --synthetic or both --clean-dir and --noise-dir" in captured.err
+        assert not report.exists()
 
 
 def test_benchmark_synthetic_deterministic(tiny_ckpt, tmp_path, capsys):
@@ -385,6 +425,68 @@ def test_os_errors_exit_io_and_name_the_path(argv, offending, tiny_ckpt, tmp_pat
              "noisy": noisy_path, "clean": clean_path}
     assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_IO
     assert offending.format(**paths) in capsys.readouterr().err
+
+
+def _edited_ckpt(edit):
+    """A builder of a copy of the tiny checkpoint changed in place by edit(blob)."""
+    def build(tmp_path, ckpt):
+        blob = bytearray(ckpt.read_bytes())
+        edit(blob)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        return ["sample", "--ckpt", str(bad), "--output", str(tmp_path / "out"),
+                *_FAST_SAMPLE.split()], bad
+    return build
+
+
+def _bump_input_width(blob):
+    # the first of the sizes: magic (8), version (4), schedule (36) and their count (4) precede it
+    blob[52] += 1
+
+
+def _bump_param_count(blob):
+    # magic (8), version (4), schedule (36), then the sizes, the frequencies,
+    # ema_decay and step (16) come before the first parameter count
+    (n_sizes,) = struct.unpack_from("<I", blob, 48)
+    (n_freqs,) = struct.unpack_from("<I", blob, 52 + 4 * n_sizes)
+    blob[52 + 4 * n_sizes + 4 + 8 * n_freqs + 16] += 1
+
+
+def _short_fmt_wav(tmp_path, ckpt):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"RIFF" + struct.pack("<I", 32) + b"WAVE" + b"fmt " + struct.pack("<I", 8)
+                    + bytes(8) + b"data" + struct.pack("<I", 4) + bytes(4))
+    return ["enhance", "--input", str(bad), "--ckpt", str(ckpt), "--output",
+            str(tmp_path / "out"), *FAST_ENHANCE], bad
+
+
+def _empty_clean_dir(tmp_path, ckpt):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    return ["benchmark", "--ckpt", str(ckpt), "--clean-dir", str(empty), "--noise-dir",
+            str(tmp_path), "--report", str(tmp_path / "out"), *FAST_ENHANCE], empty
+
+
+# (id, builder of (argv, offending path), message); the builders write the bad file
+MALFORMED_CASES = [
+    ("checkpoint architecture", _edited_ckpt(_bump_input_width),
+     "inconsistent architecture descriptor"),
+    ("checkpoint parameter count", _edited_ckpt(_bump_param_count), "parameter blob size"),
+    # sigma_min follows magic (8), version (4) and gamma (8)
+    ("checkpoint schedule", _edited_ckpt(lambda blob: struct.pack_into("<d", blob, 20, 1e-200)),
+     "bad noise schedule"),
+    ("short fmt chunk", _short_fmt_wav, "fmt chunk of 8 bytes"),
+    ("no WAV in --clean-dir", _empty_clean_dir, "no WAV files found"),
+]
+
+
+@pytest.mark.parametrize("build,message", [c[1:] for c in MALFORMED_CASES],
+                         ids=[c[0] for c in MALFORMED_CASES])
+def test_malformed_input_is_io_error_naming_the_path(build, message, tiny_ckpt, tmp_path, capsys):
+    argv, offending = build(tmp_path, tiny_ckpt)
+    assert cli.main(argv) == cli.EXIT_IO
+    assert f"{offending}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_enhance_checks_reference_length_before_enhancing(tiny_ckpt, tmp_path, capsys):
@@ -525,10 +627,8 @@ NOTHING_TO_DO_CASES = [
      "--window-len 64 --hop 16", "--frames"),
     ("sample --frames 1", "sample --ckpt {ckpt} --output {out} --frames 1 --reverse-steps 2 "
      "--window-len 64 --hop 16", "--frames"),
-    ("sample --bins 0", "sample --ckpt {ckpt} --dump-spec {out} --bins 0 --frames 4 "
-     "--reverse-steps 2", "--bins"),
-    ("sample --bins -3", "sample --ckpt {ckpt} --dump-spec {out} --bins -3 --frames 4 "
-     "--reverse-steps 2", "--bins"),
+    ("sample --dump-spec --frames 1", "sample --ckpt {ckpt} --dump-spec {out} --frames 1 "
+     "--reverse-steps 2", "--frames"),
     ("benchmark --frames 1", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 1 "
      "--snrs 0 --report {out} " + _FAST, "--frames"),
     ("benchmark --frames 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 0 "
@@ -550,6 +650,9 @@ NOTHING_TO_DO_CASES = [
      + " --em-iters 0", "--em-iters"),
     ("enhance --hop 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --hop 0", "--hop"),
+    # flags match exactly, so an abbreviation is an unknown flag
+    ("enhance --em-it 1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
+     + " --em-it 1", "--em-it"),
     ("enhance --seed -1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --seed -1", "--seed"),
     ("train --seed -1", "train " + _FAST_TRAIN + " --seed -1 --out {out}", "--seed"),
@@ -558,13 +661,16 @@ NOTHING_TO_DO_CASES = [
     ("train --sigma-max inf", "train " + _FAST_TRAIN + " --sigma-max inf --out {out}",
      "--sigma-max"),
     ("train --lr inf", "train " + _FAST_TRAIN + " --lr inf --out {out}", "--lr"),
+    # finite, but the noise kernel the sampler divides by vanishes or overflows
+    ("train --sigma-min 1e-200", "train " + _FAST_TRAIN + " --sigma-min 1e-200 --out {out}",
+     "--sigma-min"),
+    ("train --gamma 1e308", "train " + _FAST_TRAIN + " --gamma 1e308 --out {out}", "--gamma"),
+    ("train --sigma-max 1e308", "train " + _FAST_TRAIN + " --sigma-max 1e308 --out {out}",
+     "--sigma-max"),
     ("enhance --beta nan", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --beta nan", "--beta"),
     ("sample --reverse-steps 0", "sample --ckpt {ckpt} --dump-spec {out} --frames 4 "
      "--reverse-steps 0", "--reverse-steps"),
-    # 16 bins make a grid that 64-sample windows cannot synthesize, so nothing may be written
-    ("sample --output --bins 16", "sample --ckpt {ckpt} --output {out}.wav --bins 16 "
-     "--dump-spec {out} --frames 4 --reverse-steps 2 --window-len 64 --hop 16", "--bins"),
     ("benchmark --synthetic --em-iters 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
      "--frames 16 --snrs 0 --report {out} " + _FAST + " --em-iters 0", "--em-iters"),
     ("benchmark --snrs x", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "

@@ -24,6 +24,11 @@ def test_schedule_defaults():
         {"sigma_max": float("inf")},
         {"t_min": 0.0},
         {"t_min": 1.5},
+        # finite, but the kernel vanishes or overflows: sigma_min^2 underflows
+        # and the ratio^2 overflows, delta(t_min) underflows, sigma_max/sigma_min overflows
+        {"sigma_min": 1e-200},
+        {"gamma": 1e308},
+        {"sigma_max": 1e308},
     ],
 )
 def test_schedule_rejects_bad_fields(kwargs):
@@ -34,6 +39,13 @@ def test_schedule_rejects_bad_fields(kwargs):
 def test_schedule_allows_zero_gamma():
     s = sde.SdeSchedule(gamma=0.0)
     assert sde.kernel_moments(0.7, s).delta == 1.0
+
+
+def test_schedule_allows_a_mean_that_vanishes_only_at_t_1():
+    # nothing divides by delta(1), so its underflow to 0 is harmless
+    s = sde.SdeSchedule(gamma=800.0)
+    assert sde.kernel_moments(1.0, s).delta == 0.0
+    assert sde.kernel_moments(s.t_min, s).delta > 0
 
 
 def test_diffusion_coeff_endpoints():
