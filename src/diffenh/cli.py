@@ -261,6 +261,8 @@ def _load_wav(path) -> signal.Waveform:
     w = _read(signal.load_wav, path)
     if w.sample_rate != 16000:
         raise _IoError(f"{path}: pipeline expects 16 kHz input, got {w.sample_rate} Hz")
+    if not len(w):
+        raise _UsageError(f"{path} holds no samples")
     return w
 
 

@@ -1,6 +1,8 @@
 """Score models: an analytic Gaussian prior and a small trainable network.
 
-All scores use one convention: a score is a complex array whose real and
+A score model is any object with evaluate(s_t, t), which returns the score
+estimate at time t for the state s_t as an array of the same shape.  All
+scores use one convention: a score is a complex array whose real and
 imaginary parts are the half-gradients of the log-density with respect to the
 real and imaginary parts of the state, so that for a complex Gaussian with
 per-entry variance v the score is (mean - s) / v.  Finite-difference checks
@@ -30,19 +32,12 @@ DEFAULT_EMB_FREQS = (0.5, 1.0, 2.0, 4.0)
 EVAL_BLOCK = 2048
 
 
-class ScoreModel:
-    """Interface: evaluate(s_t, t) -> score estimate of the same shape."""
-
-    def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
 # analytic prior
 
 
 @dataclass
-class AnalyticGaussianPrior(ScoreModel):
+class AnalyticGaussianPrior:
     """Complex Gaussian prior with known mean and per-entry variance.
 
     The perturbed marginal at time t is Gaussian with mean delta_t * mu and
@@ -86,8 +81,14 @@ def _time_features(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.concatenate([t[:, None], np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _as_dtype(params, dtype) -> list:
-    return [(W.astype(dtype, copy=False), b.astype(dtype, copy=False)) for W, b in params]
+def _layers(vec: np.ndarray, sizes) -> list:
+    """Per-layer (W, b) views of a flat weight vector in checkpoint order:
+    for each layer, W row-major and then b."""
+    views, off = [], 0
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        views.append((vec[off : off + a * b].reshape(a, b), vec[off + a * b : off + a * b + b]))
+        off += a * b + b
+    return views
 
 
 def _state_rows(s: np.ndarray) -> np.ndarray:
@@ -96,7 +97,7 @@ def _state_rows(s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(s, dtype=np.complex128).reshape(-1).view(np.float64).reshape(-1, 2)
 
 
-class ToyScoreNet(ScoreModel):
+class ToyScoreNet:
     """Pointwise MLP scorer: (re, im, time embedding) -> (score re, score im).
 
     The network output u is mapped to the score as (u - s) / m(t), where
@@ -120,8 +121,12 @@ class ToyScoreNet(ScoreModel):
     net, as the finite-difference tests build, in float64.  The residual map
     (u - s) / m(t) is always float64, so float32 rounding of u is never
     amplified by a small m(t); so are the training loss and the gradient
-    sums over blocks.  Parameters are stored in dtype, so checkpoints
-    round-trip bit-exactly.
+    sums over blocks.
+
+    The live and EMA weights are two flat vectors in dtype, theta and
+    ema_theta, in checkpoint order (per layer, W row-major and then b), so a
+    float32 checkpoint round-trips bit-exactly.  params and ema_params are
+    their per-layer (W, b) views; writing a view writes the vector.
     """
 
     def __init__(
@@ -137,18 +142,22 @@ class ToyScoreNet(ScoreModel):
         self.dtype = np.dtype(dtype)
         self.step = 0
         rng = np.random.default_rng(seed)
-        self.params = [
-            (
-                (rng.standard_normal((a, b)) / math.sqrt(a)).astype(self.dtype),
-                np.zeros(b, dtype=self.dtype),
-            )
-            for a, b in zip(self.sizes[:-1], self.sizes[1:])
-        ]
-        self.ema_params = [(W.copy(), b.copy()) for W, b in self.params]
+        self.theta = np.zeros(sum((a + 1) * b for a, b in zip(self.sizes, self.sizes[1:])), dtype)
+        for W, _ in self.params:
+            W[...] = rng.standard_normal(W.shape) / math.sqrt(W.shape[0])
+        self.ema_theta = self.theta.copy()
+
+    @property
+    def params(self) -> list:
+        return _layers(self.theta, self.sizes)
+
+    @property
+    def ema_params(self) -> list:
+        return _layers(self.ema_theta, self.sizes)
 
     @property
     def n_params(self) -> int:
-        return sum(W.size + b.size for W, b in self.params)
+        return self.theta.size
 
     def _time_bias(self, params, t) -> tuple[np.ndarray, np.ndarray]:
         """Time features of each t and the first-layer bias they give,
@@ -193,9 +202,8 @@ class ToyScoreNet(ScoreModel):
         return out
 
     def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
-        # weights are cast here, not cached: callers may replace ema_params
         dt = self.dtype
-        params = _as_dtype(self.ema_params, dt)
+        params = self.ema_params
         bias = self._time_bias(params, float(t))[1].astype(dt, copy=False)
         m = self.marginal_var(float(t))[0]
         state = _state_rows(s_t)
@@ -216,10 +224,7 @@ class ToyScoreNet(ScoreModel):
 
     def update_ema(self):
         d = self.ema_decay
-        self.ema_params = [
-            tuple((d * e + (1 - d) * p).astype(self.dtype) for e, p in zip(ema_pair, pair))
-            for ema_pair, pair in zip(self.ema_params, self.params)
-        ]
+        self.ema_theta[...] = d * self.ema_theta + (1 - d) * self.theta
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,8 @@ def _batch_coeffs(batch: TrainBatch, sched: SdeSchedule):
 
 
 def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule):
-    """Loss plus its exact gradient with respect to the live parameters.
+    """Loss and its exact gradient with respect to the live weights, a
+    float64 vector laid out like model.theta.
 
     Walks the batch in blocks of at most EVAL_BLOCK points, as evaluate walks
     a grid, so the activations and deltas of a block stay in cache: a block
@@ -278,9 +284,9 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
 
     Each block computes in model.dtype, as evaluate does: the weights, time
     bias, input rows, activations, back-propagated deltas and the block's own
-    gradient products and column sums.  The perturbed state, the target, the residual map
-    (u - s) / m(t) and the loss are float64, and the block products are added
-    into float64 gradient sums, which are what is returned.  A float64 net
+    gradient products and column sums.  The perturbed state, the target, the
+    residual map (u - s) / m(t) and the loss are float64, and the block
+    products are added in place into the float64 grad.  A float64 net
     computes everything in float64.
     """
     delta, sig = _batch_coeffs(batch, sched)
@@ -289,7 +295,7 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
     neg_inv_sig = -1.0 / sig
     b = len(batch.t)
     dt = model.dtype
-    params = _as_dtype(model.params, dt)
+    params = model.params
     s0 = _state_rows(batch.s0)
     zeta = _state_rows(batch.zeta)
     tf, bias = model._time_bias(params, batch.t)
@@ -301,8 +307,9 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
     acts = [np.empty((rows, W.shape[1]), dt) for W, _ in params]
     resid = np.empty((rows, 2))
     deltas = [None] + [np.empty((rows, W.shape[0]), dt) for W, _ in params[1:]]
-    grads = [None] + [[np.zeros(p.shape) for p in pair] for pair in params[1:]]
-    state_grad = np.zeros((2, bias.shape[1]))
+    grad = np.zeros(model.n_params)
+    grads = _layers(grad, model.sizes)
+    state_grad = grads[0][0][:2]
     per_item = np.zeros(bias.shape)
     loss = 0.0
     for i in range(0, b, per_block):
@@ -328,9 +335,9 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
             r /= b
             d = r.astype(dt, copy=False)
             for k in range(len(params) - 1, 0, -1):
-                a = blk[k]
-                grads[k][0] += a.T @ d
-                grads[k][1] += d.sum(axis=0)
+                a, (gW, gb) = blk[k], grads[k]
+                gW += a.T @ d
+                gb += d.sum(axis=0)
                 d = np.matmul(d, params[k][0].T, out=deltas[k][: hi - lo])
                 # d *= 1 - a**2, through a, which no later step reads
                 np.multiply(a, a, out=a)
@@ -339,8 +346,10 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
             # first layer: the state rows here, the time rows once at the end
             state_grad += x_in.T @ d
             per_item[i:j] += d.reshape(j - i, -1, d.shape[1]).sum(axis=1)
-    grads[0] = (np.concatenate([state_grad, tf.T @ per_item]), per_item.sum(axis=0))
-    return loss / b, [tuple(g) for g in grads]
+    gW, gb = grads[0]
+    gW[2:] = tf.T @ per_item
+    gb[...] = per_item.sum(axis=0)
+    return loss / b, grad
 
 
 @dataclass
@@ -376,9 +385,9 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
         raise ValueError("train: dataset items need at least one frequency bin")
     model.sched = sched  # the output map's m(t) must follow the training schedule
     rng = np.random.default_rng(cfg.seed)
-    # Adam moments for each array of the flat [W1, b1, W2, b2, ...] list
-    m_state = [np.zeros(a.shape) for pair in model.params for a in pair]
-    v_state = [np.zeros_like(m) for m in m_state]
+    # Adam moments, laid out like theta
+    m = np.zeros(model.n_params)
+    v = np.zeros(model.n_params)
     b1, b2, eps = 0.9, 0.999, 1e-8
     total = cfg.epochs * cfg.steps_per_epoch
     history = []
@@ -387,7 +396,7 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
         acc = 0.0
         for _ in range(cfg.steps_per_epoch):
             batch = make_train_batch(dataset, cfg.batch_size, cfg.patch_frames, sched, rng)
-            loss, grads = dsm_loss_and_grad(model, batch, sched)
+            loss, grad = dsm_loss_and_grad(model, batch, sched)
             if not math.isfinite(loss):
                 raise FloatingPointError(f"training diverged at step {model.step}: loss={loss}")
             acc += loss
@@ -397,18 +406,12 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
             else:
                 lr = cfg.lr
             model.step += 1
-            flat_params = [a for pair in model.params for a in pair]
-            flat_grads = [g for pair in grads for g in pair]
-            new_flat = []
-            for p, g, m, v in zip(flat_params, flat_grads, m_state, v_state):
-                m[:] = b1 * m + (1 - b1) * g
-                v[:] = b2 * v + (1 - b2) * g**2
-                # the moments restart at zero in every call, so their bias
-                # correction counts this call's steps, not model.step
-                hat = m / (1 - b1**done)
-                step = lr * hat / (np.sqrt(v / (1 - b2**done)) + eps)
-                new_flat.append((p - step).astype(model.dtype))
-            model.params = list(zip(new_flat[::2], new_flat[1::2]))
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad**2
+            # the moments restart at zero in every call, so their bias
+            # correction counts this call's steps, not model.step; the step
+            # is float64, rounded once to the net's dtype by the subtraction
+            model.theta -= lr * (m / (1 - b1**done)) / (np.sqrt(v / (1 - b2**done)) + eps)
             model.update_ema()
         history.append(acc / cfg.steps_per_epoch)
     return model, history
@@ -431,9 +434,8 @@ def save_checkpoint(model: ToyScoreNet, sched: SdeSchedule, path):
         fh.write(struct.pack("<I", len(model.emb_freqs)))
         fh.write(struct.pack(f"<{len(model.emb_freqs)}d", *model.emb_freqs))
         fh.write(struct.pack("<dQ", model.ema_decay, model.step))
-        for params in (model.params, model.ema_params):
-            blob = np.concatenate([np.concatenate([W.ravel(), b]) for W, b in params])
-            blob = blob.astype("<f4")
+        for vec in (model.theta, model.ema_theta):
+            blob = vec.astype("<f4")
             fh.write(struct.pack("<Q", blob.size))
             fh.write(blob.tobytes())
 
@@ -470,20 +472,11 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: inconsistent architecture descriptor {sizes}")
         model.ema_decay = ema_decay
         model.step = step
-        for attr in ("params", "ema_params"):
+        for vec in (model.theta, model.ema_theta):
             (count,) = struct.unpack("<Q", _read_exact(fh, 8, path))
             if count != model.n_params:
                 raise ValueError(f"{path}: parameter blob size {count} != {model.n_params}")
-            blob = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
-            restored = []
-            off = 0
-            for a, b in zip(model.sizes[:-1], model.sizes[1:]):
-                W = blob[off : off + a * b].reshape(a, b).copy()
-                off += a * b
-                bias = blob[off : off + b].copy()
-                off += b
-                restored.append((W, bias))
-            setattr(model, attr, restored)
+            vec[:] = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     return model, sched

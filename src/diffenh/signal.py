@@ -104,8 +104,6 @@ def stft(w: Waveform, cfg: StftConfig = StftConfig()) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("stft: non-finite samples")
     pad = cfg.window_len // 2
-    if len(x) + 2 * pad < cfg.window_len:
-        raise ValueError(f"stft: waveform too short for window_len {cfg.window_len}")
     xp = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
     win = _window(cfg)
     frames = n_frames(len(x), cfg)

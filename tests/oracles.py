@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from diffenh import sde
-from diffenh.score import AnalyticGaussianPrior, ScoreModel, TrainBatch, _batch_coeffs
+from diffenh.score import AnalyticGaussianPrior, TrainBatch, _batch_coeffs
 from diffenh.sde import SdeSchedule
 
 
@@ -56,7 +56,7 @@ def gaussian_log_density(prior: AnalyticGaussianPrior, s_t: np.ndarray, t: float
 
 
 @dataclass
-class GmmPrior(ScoreModel):
+class GmmPrior:
     """Mixture of isotropic complex Gaussians over the whole grid.
 
     components is a list of (weight, mean, var) with positive weights summing
@@ -119,7 +119,7 @@ def batch_terms(batch: TrainBatch, sched: SdeSchedule):
     return s_t, target
 
 
-def dsm_loss(model: ScoreModel, batch: TrainBatch, sched: SdeSchedule) -> float:
+def dsm_loss(model, batch: TrainBatch, sched: SdeSchedule) -> float:
     """Mean over the batch of the squared 2-norm of S(s_t, t) - (-zeta/sigma).
 
     The reference the gradient checks compare dsm_loss_and_grad against.  It

@@ -119,7 +119,7 @@ def test_dsm_loss_oracle_zero_and_exact_gradient(sched, record_acceptance):
     dataset = [prior.sample((4, 12), rng) for _ in range(4)]
     batch = score.make_train_batch(dataset, 6, 8, sched, rng)
 
-    class OracleTarget(score.ScoreModel):
+    class OracleTarget:
         def __init__(self, b):
             sig = np.sqrt([sde.kernel_moments(float(tt), sched).var for tt in b.t])
             self.value = -b.zeta / sig[:, None, None]
@@ -132,31 +132,17 @@ def test_dsm_loss_oracle_zero_and_exact_gradient(sched, record_acceptance):
 
     net = score.ToyScoreNet(hidden=(16, 16), seed=5, dtype=np.float64, sched=sched)
     grad_batch = score.make_train_batch(dataset, 3, 4, sched, rng)
-    _, grads = score.dsm_loss_and_grad(net, grad_batch, sched)
-
-    def flatten(pairs):
-        return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in pairs])
-
-    def unflatten(vec):
-        out, off = [], 0
-        for a, b in zip(net.sizes[:-1], net.sizes[1:]):
-            W = vec[off : off + a * b].reshape(a, b)
-            off += a * b
-            out.append((W, vec[off : off + b]))
-            off += b
-        return out
-
-    analytic = flatten(grads)
-    base = flatten(net.params)
+    _, analytic = score.dsm_loss_and_grad(net, grad_batch, sched)
+    base = net.theta.copy()
     idx = rng.choice(base.size, 60, replace=False)
     eps = 1e-6
     fd = np.zeros(len(idx))
     for j, i in enumerate(idx):
+        # dsm_loss evaluates the EMA weights, so both vectors move together
         for sgn in (1.0, -1.0):
-            v = base.copy()
-            v[i] += sgn * eps
-            net.params = net.ema_params = unflatten(v)
+            net.theta[i] = net.ema_theta[i] = base[i] + sgn * eps
             fd[j] += sgn * dsm_loss(net, grad_batch, sched)
+        net.theta[i] = net.ema_theta[i] = base[i]
         fd[j] /= 2 * eps
     rel = np.linalg.norm(analytic[idx] - fd) / np.linalg.norm(fd)
     dt = SEC() - t0
@@ -326,7 +312,7 @@ def test_fixed_seed_bit_identical_outputs(sched, record_acceptance):
     for _ in range(2):
         net = score.ToyScoreNet(hidden=(8,), seed=6, sched=sched)
         net, _ = score.train(net, dataset, tcfg, sched)
-        nets.append(np.concatenate([np.concatenate([W.ravel(), b]) for W, b in net.params]))
+        nets.append(net.theta)
     checks.append(np.array_equal(*nets))
 
     mixes = [

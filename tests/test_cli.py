@@ -555,7 +555,8 @@ def test_enhance_with_nonfinite_checkpoint_is_numeric_error(tiny_ckpt, tmp_path,
     from diffenh import score
 
     model, sched = score.load_checkpoint(tiny_ckpt)
-    model.ema_params = [(np.full_like(W, np.inf), b) for W, b in model.ema_params]
+    for W, _ in model.ema_params:
+        W[...] = np.inf
     bad = tmp_path / "inf.bin"
     score.save_checkpoint(model, sched, bad)
     noisy_path, _ = _write_noisy(tmp_path)
@@ -690,15 +691,28 @@ NOTHING_TO_DO_CASES = [
      "--frames 16 --snrs 0 --clean-dir {out} --report {out} " + _FAST, "--clean-dir"),
 ]
 
+# the same, for a WAV with no samples, rejected once read and before any STFT;
+# {empty} is a directory that holds only empty.wav
+EMPTY_WAV_CASES = [
+    ("enhance --input empty.wav", "enhance --input {empty}/empty.wav --ckpt {ckpt} "
+     "--output {out} " + _FAST, "{empty}/empty.wav"),
+    ("train --data with an empty WAV", "train --data {empty} --steps-per-epoch 1 --out {out}",
+     "{empty}/empty.wav"),
+]
 
-@pytest.mark.parametrize("argv,flag", [c[1:] for c in NOTHING_TO_DO_CASES],
-                         ids=[c[0] for c in NOTHING_TO_DO_CASES])
+
+@pytest.mark.parametrize("argv,flag", [c[1:] for c in NOTHING_TO_DO_CASES + EMPTY_WAV_CASES],
+                         ids=[c[0] for c in NOTHING_TO_DO_CASES + EMPTY_WAV_CASES])
 def test_inputs_that_produce_nothing_are_usage_errors(argv, flag, tiny_ckpt, tmp_path, capsys):
-    out = tmp_path / "out"
+    out, empty = tmp_path / "out", tmp_path / "empty"
+    empty.mkdir()
+    signal.save_wav(empty / "empty.wav", signal.Waveform(np.zeros(0), 16000))
     noisy, _ = _write_noisy(tmp_path)
-    rc = cli.main([tok.format(out=out, ckpt=tiny_ckpt, noisy=noisy) for tok in argv.split()])
+    paths = {"out": out, "ckpt": tiny_ckpt, "noisy": noisy, "empty": empty}
+    rc = cli.main([tok.format(**paths) for tok in argv.split()])
     assert rc == cli.EXIT_USAGE
-    assert flag in capsys.readouterr().err
+    # the error line: argparse's usage line above it lists every flag
+    assert flag.format(**paths) in capsys.readouterr().err.splitlines()[-1]
     assert not out.exists()
 
 
@@ -713,7 +727,7 @@ def test_inputs_that_produce_nothing_are_rejected_before_the_checkpoint_loads(ar
     noisy, _ = _write_noisy(tmp_path)
     rc = cli.main([tok.format(out=tmp_path / "out", ckpt=gone, noisy=noisy) for tok in argv.split()])
     assert rc == cli.EXIT_USAGE
-    assert flag in capsys.readouterr().err
+    assert flag in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_checkpoint_with_unknown_diffusion_code_is_malformed(tiny_ckpt, tmp_path, capsys):

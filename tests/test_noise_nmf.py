@@ -16,6 +16,9 @@ from diffenh.noise_nmf import (
 def test_params_validation_and_floor():
     with pytest.raises(ValueError):
         NmfParams(W=np.ones((3, 2)), H=np.ones((3, 5)))  # inner dims disagree
+    for W, H in ((-np.ones((3, 2)), np.ones((2, 5))), (np.ones((3, 2)), -np.ones((2, 5)))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            NmfParams(W=W, H=H)
     p = NmfParams(W=np.zeros((3, 2)), H=np.zeros((2, 4)))
     assert np.all(p.W >= EPS_NMF) and np.all(p.H >= EPS_NMF)
     assert p.rank == 2
@@ -47,6 +50,8 @@ def test_objective_closed_forms():
         for t in range(7):
             brute += P[f, t] / V[f, t] + np.log(V[f, t])
     assert is_objective(P, p) == pytest.approx(brute, rel=1e-12)
+    with pytest.raises(ValueError, match="does not match factors"):
+        is_objective(P.T, p)
 
 
 def test_update_step_fixed_point():
@@ -55,6 +60,15 @@ def test_update_step_fixed_point():
     q = update_step(P, p)
     assert np.max(np.abs(q.W - p.W)) < 1e-12
     assert np.max(np.abs(q.H - p.H)) < 1e-12
+
+
+def test_update_step_rejects_non_finite_factors():
+    # an infinite residual power drives W to inf and then H to nan
+    p = init_nmf(4, 5, 2, 1.0, seed=0)
+    P = np.ones((4, 5))
+    P[1, 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        update_step(P, p)
 
 
 def test_update_step_monotone_on_random_problems():

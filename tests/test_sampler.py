@@ -16,12 +16,12 @@ from oracles import GmmPrior
 SCHED = sde.SdeSchedule()
 
 
-class ZeroScore(score.ScoreModel):
+class ZeroScore:
     def evaluate(self, s_t, t):
         return np.zeros_like(s_t)
 
 
-class ConstScore(score.ScoreModel):
+class ConstScore:
     def __init__(self, value):
         self.value = value
 
@@ -29,12 +29,12 @@ class ConstScore(score.ScoreModel):
         return np.full_like(s_t, self.value)
 
 
-class NanScore(score.ScoreModel):
+class NanScore:
     def evaluate(self, s_t, t):
         return np.full_like(s_t, np.nan)
 
 
-class CountingScore(score.ScoreModel):
+class CountingScore:
     """Counts the evaluations it passes on to the unit Gaussian prior's score."""
 
     def __init__(self):

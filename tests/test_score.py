@@ -52,6 +52,10 @@ def test_gaussian_score_matches_finite_differences():
 def test_gaussian_prior_rejects_negative_variance():
     with pytest.raises(ValueError):
         AnalyticGaussianPrior(mean=0j, var0=-1.0, sched=SCHED)
+    # var0 = 0 is allowed, but at t = 0 the perturbed variance is zero too
+    point_mass = AnalyticGaussianPrior(mean=0j, var0=0.0, sched=SCHED)
+    with pytest.raises(ValueError, match="zero total variance"):
+        point_mass.evaluate(np.zeros(3, complex), 0.0)
 
 
 def test_gmm_score_matches_finite_differences():
@@ -109,7 +113,8 @@ def _net_and_state(grid, hidden, dtype):
     rng = np.random.default_rng(len(hidden))
     net = ToyScoreNet(hidden=hidden, seed=2, dtype=dtype, sched=SCHED)
     # nonzero biases, set after construction as a loaded or trained net has them
-    net.ema_params = [(W, rng.standard_normal(b.shape).astype(dtype)) for W, b in net.params]
+    for _, b in net.ema_params:
+        b[...] = rng.standard_normal(b.shape)
     shape = GRIDS[grid]
     s = 2.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     if grid.endswith("transposed"):
@@ -147,7 +152,7 @@ def test_float32_net_evaluate_is_close_to_float64_formula(grid, hidden):
 def _all_float64_blocked_score(net, s, t):
     """evaluate as it ran when every net computed in float64: the weights cast
     to float64 and the network output written straight into the score."""
-    params = [(W.astype(np.float64), b.astype(np.float64)) for W, b in net.ema_params]
+    params = score._layers(net.ema_theta.astype(np.float64), net.sizes)
     _, bias = net._time_bias(params, float(t))
     m = net.marginal_var(float(t))[0]
     state = score._state_rows(s)
@@ -198,14 +203,11 @@ def test_toy_net_far_field_follows_gaussian_tail():
 
 def test_ema_decays_geometrically():
     net = ToyScoreNet(seed=2, sched=SCHED)
-    target = [(W.copy(), b.copy()) for W, b in net.params]
-    net.ema_params = [(np.zeros_like(W), np.zeros_like(b)) for W, b in net.params]
+    net.ema_theta[:] = 0.0
     n = 50
     for _ in range(n):
         net.update_ema()
-    expect = 1.0 - net.ema_decay**n
-    for (eW, _), (W, _) in zip(net.ema_params, target):
-        assert np.allclose(eW, expect * W, rtol=1e-5)
+    assert np.allclose(net.ema_theta, (1.0 - net.ema_decay**n) * net.theta, rtol=1e-5)
 
 
 def test_make_train_batch_contract():
@@ -217,10 +219,21 @@ def test_make_train_batch_contract():
     assert np.all(batch.t >= SCHED.t_min) and np.all(batch.t <= 1.0)
     with pytest.raises(ValueError):
         make_train_batch(ds, 2, 64, SCHED, rng)  # patch longer than items
+    s0, zeta = batch.s0[:2], batch.zeta[:2]
+    with pytest.raises(ValueError, match="empty batch"):
+        score.TrainBatch(s0=s0[:0], t=batch.t[:0], zeta=zeta[:0])
+    for t, z in ((batch.t[:2], zeta[:, :3]), (batch.t[:3], zeta)):
+        with pytest.raises(ValueError, match="batch field shapes disagree"):
+            score.TrainBatch(s0=s0, t=t, zeta=z)
+    net = ToyScoreNet(hidden=(4,), sched=SCHED)
+    for t in (SCHED.t_min / 2, 1.5):
+        outside = score.TrainBatch(s0=s0, t=np.array([0.5, t]), zeta=zeta)
+        with pytest.raises(ValueError, match=re.escape("training times must lie in [t_min, 1]")):
+            dsm_loss_and_grad(net, outside, SCHED)
 
 
 def test_dsm_loss_zero_when_oracle_injected():
-    class OracleTarget(score.ScoreModel):
+    class OracleTarget:
         """Returns exactly the regression target of the batch item drawn at t."""
 
         def __init__(self, batch):
@@ -257,32 +270,18 @@ def _fd_gradient_error(item_shape, batch_size, patch_frames):
     ds = [prior.sample(item_shape, rng) for _ in range(4)]
     batch = make_train_batch(ds, batch_size, patch_frames, SCHED, rng)
 
-    def flatten(pairs):
-        return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in pairs])
-
-    def unflatten(vec):
-        out, off = [], 0
-        for a, b in zip(net.sizes[:-1], net.sizes[1:]):
-            W = vec[off : off + a * b].reshape(a, b)
-            off += a * b
-            out.append((W, vec[off : off + b]))
-            off += b
-        return out
-
-    _, grads = dsm_loss_and_grad(net, batch, SCHED)
-    analytic = flatten(grads)
-    base = flatten(net.params)
+    _, analytic = dsm_loss_and_grad(net, batch, SCHED)
+    base = net.theta.copy()
     eps = 1e-6
     idx = rng.choice(base.size, 60, replace=False)
     fd = np.zeros(len(idx))
     for j, i in enumerate(idx):
+        # dsm_loss evaluates the EMA weights, so both vectors move together
         for sgn in (1.0, -1.0):
-            v = base.copy()
-            v[i] += sgn * eps
-            net.params = net.ema_params = unflatten(v)
+            net.theta[i] = net.ema_theta[i] = base[i] + sgn * eps
             fd[j] += sgn * dsm_loss(net, batch, SCHED)
+        net.theta[i] = net.ema_theta[i] = base[i]
         fd[j] /= 2 * eps
-    net.params = net.ema_params = unflatten(base)
     return np.linalg.norm(analytic[idx] - fd) / np.linalg.norm(fd)
 
 
@@ -300,20 +299,22 @@ def _unblocked_loss_and_grad(net, batch):
     """The gradient pass as first written: every layer over the whole batch."""
     s_t, target = batch_terms(batch, SCHED)
     b = s_t.shape[0]
-    params = score._as_dtype(net.params, np.float64)
+    params = score._layers(net.theta.astype(np.float64), net.sizes)
     state = score._state_rows(s_t)
     tf, bias = net._time_bias(params, batch.t)
     out, acts = net._forward(params, state, bias)
     m = np.repeat(net.marginal_var(batch.t), len(state) // b)[:, None]
     resid = (out - state) / m - score._state_rows(target)
     d = 2.0 * resid / m / b
-    grads = []
+    grad = np.zeros(net.n_params)
+    grads = score._layers(grad, net.sizes)
     for i in range(len(params) - 1, 0, -1):
-        grads.append((acts[i].T @ d, d.sum(axis=0)))
+        grads[i][0][...], grads[i][1][...] = acts[i].T @ d, d.sum(axis=0)
         d = (d @ params[i][0].T) * (1.0 - acts[i] ** 2)
     per_item = d.reshape(b, -1, d.shape[1]).sum(axis=1)
-    grads.append((np.concatenate([state.T @ d, tf.T @ per_item]), d.sum(axis=0)))
-    return float(np.sum(resid**2) / b), grads[::-1]
+    W1, b1 = grads[0]
+    W1[:2], W1[2:], b1[...] = state.T @ d, tf.T @ per_item, d.sum(axis=0)
+    return float(np.sum(resid**2) / b), grad
 
 
 def _random_batch(shape, rng):
@@ -335,18 +336,19 @@ def _net_and_batch(shape, hidden, dtype):
     rng = np.random.default_rng(len(hidden))
     net = ToyScoreNet(hidden=hidden, seed=2, dtype=dtype, sched=SCHED)
     # nonzero biases, set after construction as a loaded or trained net has them
-    net.params = [(W, rng.standard_normal(b.shape).astype(dtype)) for W, b in net.params]
+    for _, b in net.params:
+        b[...] = rng.standard_normal(b.shape)
     return net, _random_batch(BATCHES[shape], rng)
 
 
 def _assert_gradient_close(net, batch, loss_tol, grad_tol):
-    loss, grads = dsm_loss_and_grad(net, batch, SCHED)
-    ref_loss, ref_grads = _unblocked_loss_and_grad(net, batch)
+    loss, grad = dsm_loss_and_grad(net, batch, SCHED)
+    ref_loss, ref_grad = _unblocked_loss_and_grad(net, batch)
     assert abs(loss - ref_loss) <= loss_tol * ref_loss
-    assert len(grads) == len(ref_grads)
-    for pair, ref_pair in zip(grads, ref_grads):
+    assert grad.shape == net.theta.shape and grad.dtype == np.float64
+    # each weight matrix and bias vector on its own
+    for pair, ref_pair in zip(score._layers(grad, net.sizes), score._layers(ref_grad, net.sizes)):
         for g, ref in zip(pair, ref_pair):
-            assert g.shape == ref.shape and g.dtype == np.float64
             assert np.linalg.norm(g - ref) <= grad_tol * np.linalg.norm(ref)
 
 
@@ -373,7 +375,7 @@ def _all_float64_loss_and_grad(model, batch, sched):
     delta, sig = score._batch_coeffs(batch, sched)
     neg_inv_sig = -1.0 / sig
     b = len(batch.t)
-    params = score._as_dtype(model.params, np.float64)
+    params = score._layers(model.theta.astype(np.float64), model.sizes)
     s0 = score._state_rows(batch.s0)
     zeta = score._state_rows(batch.zeta)
     tf, bias = model._time_bias(params, batch.t)
@@ -383,8 +385,9 @@ def _all_float64_loss_and_grad(model, batch, sched):
     rows = min(per_block * n, score.EVAL_BLOCK)
     acts = [np.empty((rows, W.shape[1])) for W, _ in params]
     deltas = [None] + [np.empty((rows, W.shape[0])) for W, _ in params[1:]]
-    grads = [None] + [[np.zeros_like(p) for p in pair] for pair in params[1:]]
-    state_grad = np.zeros((2, bias.shape[1]))
+    grad = np.zeros(model.n_params)
+    grads = score._layers(grad, model.sizes)
+    state_grad = grads[0][0][:2]
     per_item = np.zeros_like(bias)
     loss = 0.0
     for i in range(0, b, per_block):
@@ -406,29 +409,26 @@ def _all_float64_loss_and_grad(model, batch, sched):
             u /= b
             d = u
             for k in range(len(params) - 1, 0, -1):
-                a = blk[k]
-                grads[k][0] += a.T @ d
-                grads[k][1] += d.sum(axis=0)
+                a, (gW, gb) = blk[k], grads[k]
+                gW += a.T @ d
+                gb += d.sum(axis=0)
                 d = np.matmul(d, params[k][0].T, out=deltas[k][: hi - lo])
                 np.multiply(a, a, out=a)
                 np.subtract(1.0, a, out=a)
                 d *= a
             state_grad += x.T @ d
             per_item[i:j] += d.reshape(j - i, -1, d.shape[1]).sum(axis=1)
-    grads[0] = (np.concatenate([state_grad, tf.T @ per_item]), per_item.sum(axis=0))
-    return loss / b, [tuple(g) for g in grads]
+    grads[0][0][2:], grads[0][1][...] = tf.T @ per_item, per_item.sum(axis=0)
+    return loss / b, grad
 
 
 @HIDDEN
 @pytest.mark.parametrize("shape", ["4 items per block", "ragged last block", "chunked items"])
 def test_float64_net_gradient_is_bit_identical_to_all_float64_pass(shape, hidden):
     net, batch = _net_and_batch(shape, hidden, np.float64)
-    loss, grads = dsm_loss_and_grad(net, batch, SCHED)
-    ref_loss, ref_grads = _all_float64_loss_and_grad(net, batch, SCHED)
-    assert loss == ref_loss
-    for pair, ref_pair in zip(grads, ref_grads):
-        for g, ref in zip(pair, ref_pair):
-            assert np.array_equal(g, ref)
+    loss, grad = dsm_loss_and_grad(net, batch, SCHED)
+    ref_loss, ref_grad = _all_float64_loss_and_grad(net, batch, SCHED)
+    assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
 
 def _train_fixture(dtype):
@@ -448,10 +448,8 @@ def test_float64_net_trains_bit_identically_to_all_float64_pass(monkeypatch):
     monkeypatch.setattr(score, "dsm_loss_and_grad", _all_float64_loss_and_grad)
     _, ref_hist = train(ref, ds, cfg, SCHED)
     assert net.step == 200 and hist == ref_hist
-    for got, want in ((net.params, ref.params), (net.ema_params, ref.ema_params)):
-        for pair, ref_pair in zip(got, want):
-            for a, b in zip(pair, ref_pair):
-                assert a.dtype == np.float64 and np.array_equal(a, b)
+    for got, want in ((net.theta, ref.theta), (net.ema_theta, ref.ema_theta)):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -460,31 +458,27 @@ def test_train_keeps_parameter_dtypes_and_float64_adam_state(dtype, monkeypatch)
     # built from them stay float64, and only the updated weights are cast
     cfg = TrainConfig(lr=1e-3, batch_size=4, steps_per_epoch=5, patch_frames=16, seed=0)
     net, ds = _train_fixture(dtype)
-    start = [a.copy() for pair in net.params for a in pair]
+    theta = net.theta.copy()
     seen = []
 
     def recording(model, batch, sched):
-        loss, grads = dsm_loss_and_grad(model, batch, sched)
-        seen.append([g for pair in grads for g in pair])
-        return loss, grads
+        loss, grad = dsm_loss_and_grad(model, batch, sched)
+        seen.append(grad)
+        return loss, grad
 
     monkeypatch.setattr(score, "dsm_loss_and_grad", recording)
     train(net, ds, cfg, SCHED)
-    assert all(g.dtype == np.float64 for grads in seen for g in grads)
-    for pair, ema_pair in zip(net.params, net.ema_params):
-        assert all(a.dtype == dtype for a in pair + ema_pair)
+    assert all(g.dtype == np.float64 for g in seen)
+    assert net.theta.dtype == net.ema_theta.dtype == dtype
     # Adam replayed from the recorded gradients with float64 moments
     b1, b2 = 0.9, 0.999
-    ms = [np.zeros(p.shape) for p in start]
-    vs = [np.zeros(p.shape) for p in start]
-    params = start
-    for step, grads in enumerate(seen, 1):
-        for m, v, g in zip(ms, vs, grads):
-            m[:] = b1 * m + (1 - b1) * g
-            v[:] = b2 * v + (1 - b2) * g**2
-        params = [(p - cfg.lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + 1e-8))
-                  .astype(dtype) for p, m, v in zip(params, ms, vs)]
-    assert all(np.array_equal(p, q) for p, q in zip(params, [a for pair in net.params for a in pair]))
+    m, v = np.zeros(theta.shape), np.zeros(theta.shape)
+    for step, g in enumerate(seen, 1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        theta = (theta - cfg.lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + 1e-8)
+                 ).astype(dtype)
+    assert np.array_equal(theta, net.theta)
 
 
 def test_gradient_pass_peak_memory_at_cli_default_shape():
@@ -519,14 +513,12 @@ def test_gradient_pass_holds_no_batch_sized_array():
 
 def test_train_zero_epochs_leaves_parameters():
     net = ToyScoreNet(seed=4, sched=SCHED)
-    before = [(W.copy(), b.copy()) for W, b in net.params]
+    before = net.theta.copy()
     rng = np.random.default_rng(0)
     prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
     ds = [prior.sample((4, 12), rng) for _ in range(2)]
     _, hist = train(net, ds, TrainConfig(epochs=0, patch_frames=8), SCHED)
-    assert hist == []
-    for (W, b), (W0, b0) in zip(net.params, before):
-        assert np.array_equal(W, W0) and np.array_equal(b, b0)
+    assert hist == [] and np.array_equal(net.theta, before)
 
 
 def test_train_rejects_empty_dataset():
@@ -549,7 +541,7 @@ def test_train_smoke():
     assert net.step == 80
     # even this short a run should pull the live weights toward the analytic
     # score (the EMA view lags far behind at 80 steps, so probe live weights)
-    net.ema_params = [(W.copy(), b.copy()) for W, b in net.params]
+    net.ema_theta[:] = net.theta
     pts = prior.sample((200,), rng)
     t = 0.5
     got = net.evaluate(pts, t)
@@ -570,8 +562,7 @@ def test_resumed_training_takes_a_fresh_first_adam_step():
     train(fresh, ds, cfg, SCHED)
     train(resumed, ds, cfg, SCHED)
     assert (fresh.step, resumed.step) == (1, 1001)
-    for (W, b), (W2, b2) in zip(fresh.params, resumed.params):
-        assert np.array_equal(W, W2) and np.array_equal(b, b2)
+    assert np.array_equal(fresh.theta, resumed.theta)
 
 
 def test_train_config_validation():
@@ -584,6 +575,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="patch_frames must be >= 1, got 0"):
         TrainConfig(patch_frames=0)
+    with pytest.raises(ValueError, match="unknown lr_decay 'linear'"):
+        TrainConfig(lr_decay="linear")
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

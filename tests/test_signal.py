@@ -24,6 +24,16 @@ def test_waveform_validation():
         Waveform(np.zeros(4), 0)
 
 
+def test_stft_rejects_empty_and_non_finite_samples():
+    with pytest.raises(ValueError, match="empty waveform"):
+        signal.stft(Waveform(np.zeros(0), 16000))
+    # Waveform checks its samples when built, not when they are changed later
+    w = Waveform(np.zeros(600), 16000)
+    w.samples[7] = np.inf
+    with pytest.raises(ValueError, match="non-finite samples"):
+        signal.stft(w)
+
+
 def test_waveform_power():
     w = Waveform(np.array([1.0, -1.0, 1.0, -1.0]), 8000)
     assert w.power() == 1.0
