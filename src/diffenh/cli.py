@@ -383,10 +383,11 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
     """The (label, clean, noise) waveforms of the benchmark grid, as a list."""
     rng = np.random.default_rng(args.seed)
     if args.synthetic:
-        scfg = SamplerConfig(n_steps=args.reverse_steps)
+        # the clean speech is a prior sample at the prior sampler's own N, so
+        # it does not change with the enhancer's --reverse-steps
         pairs = []
         for i in range(args.utterances):
-            clean = synth_clean_waveform(args.frames, model, sched, stft_cfg, scfg, rng)
+            clean = synth_clean_waveform(args.frames, model, sched, stft_cfg, SamplerConfig(), rng)
             noise = signal.Waveform(
                 noise_nmf.synth_noise_waveform(len(clean), args.nmf_rank, rng), clean.sample_rate
             )

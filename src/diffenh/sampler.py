@@ -35,6 +35,12 @@ from .sde import SdeSchedule, complex_randn, diffusion_coeff, kernel_moments
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """n_steps is N.  The default of 30 serves prior sampling (`sample` and
+    the clean speech of `benchmark --synthetic`); enhancement takes its N
+    from EnhancementConfig.reverse_steps (20).  The step sweep behind that 20
+    checked posterior chains only, and the seeded clean utterances that the
+    tests and benchmarks score against are prior samples at this N."""
+
     n_steps: int = 30
 
     def __post_init__(self):

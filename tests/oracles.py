@@ -129,3 +129,28 @@ def dsm_loss(model, batch: TrainBatch, sched: SdeSchedule) -> float:
     scores = np.stack([model.evaluate(s_t[i], float(ti)) for i, ti in enumerate(batch.t)])
     resid = scores - target
     return float(np.mean(np.sum(np.abs(resid) ** 2, axis=tuple(range(1, resid.ndim)))))
+
+
+def broadcast_forward(params, state, bias, outs=None):
+    """ToyScoreNet._forward with each bias broadcast as a row over the block.
+
+    bias holds the first-layer time bias, one row per item; the n rows split
+    evenly among the items, in order.  The package adds tiles of each bias
+    instead (score._add_tiled), which must give the same bits.
+    """
+    acts = [state]
+    h = state
+    last = len(params) - 1
+    for i, (W, b) in enumerate(params):
+        out = None if outs is None else outs[i]
+        if i == 0:
+            h = np.matmul(h, W[:2], out=out)
+            per_item = h.reshape(len(bias), -1, h.shape[1])
+            per_item += bias[:, None, :]
+        else:
+            h = np.matmul(h, W, out=out)
+            h += b
+        if i < last:
+            np.tanh(h, out=h)
+        acts.append(h)
+    return h, acts

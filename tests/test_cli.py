@@ -361,6 +361,18 @@ def test_benchmark_synthetic_deterministic(tiny_ckpt, tmp_path, capsys):
     assert a["files"][0]["file"] == "synthetic-000@+0dB"
 
 
+def test_benchmark_synthetic_speech_does_not_depend_on_reverse_steps(tiny_ckpt, capsys):
+    # the clean utterances are prior samples at the prior sampler's own N;
+    # --reverse-steps sets only the enhancer's
+    args = ["benchmark", "--ckpt", str(tiny_ckpt), "--synthetic", "--utterances", "2",
+            "--frames", "16", "--snrs=-5,5", "--seed", "4", *FAST_ENHANCE]
+    inputs = []
+    for steps in ("4", "6"):
+        assert cli.main(args + ["--reverse-steps", steps]) == cli.EXIT_OK
+        inputs.append(re.findall(r"^(\S+): in (\S+) dB", capsys.readouterr().out, re.M))
+    assert len(inputs[0]) == 4 and inputs[0] == inputs[1]
+
+
 def test_benchmark_requires_source(tiny_ckpt, capsys):
     assert cli.main(["benchmark", "--ckpt", str(tiny_ckpt)]) == cli.EXIT_USAGE
     assert "--synthetic or both" in capsys.readouterr().err

@@ -27,7 +27,7 @@ def test_config_validation():
         EnhancementConfig(em_iters=0)
     with pytest.raises(ValueError, match=r"^batch must be >= 1, got 0$"):
         EnhancementConfig(batch=0)
-    assert EnhancementConfig().sampler_config() == SamplerConfig()
+    assert EnhancementConfig().sampler_config() == SamplerConfig(n_steps=20)
     with pytest.warns(DeprecationWarning, match=r"^posterior_every is ignored$"):
         cfg = EnhancementConfig(reverse_steps=12, posterior_every=3)
     assert cfg.sampler_config() == SamplerConfig(n_steps=12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffenh import sde, score, sampler
+from diffenh.em import EnhancementConfig
 from diffenh.sampler import (
     SamplerConfig,
     corrector_step,
@@ -175,16 +176,19 @@ def test_posterior_score_tends_to_prior_score_with_infinite_noise():
     assert np.max(np.abs(out - prior.evaluate(s, 0.5))) < 1e-10
 
 
+@pytest.mark.parametrize("n_steps", sorted({SamplerConfig().n_steps,
+                                             EnhancementConfig().reverse_steps}))
 @pytest.mark.parametrize("v", [0.1, 1.0, 10.0])
-def test_posterior_conjugate_oracle(v):
+def test_posterior_conjugate_oracle(v, n_steps):
     # x = s_0 + n with s_0 ~ N_C(0, 1), n ~ N_C(0, v): the posterior is
-    # N_C(x/(1+v), v/(1+v)) at every noise level, not only where v = 1
+    # N_C(x/(1+v), v/(1+v)) at every noise level, not only where v = 1; held
+    # at the prior sampler's N and at the N that enhancement ships with
     prior = score.AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
     rng = np.random.default_rng(0)
     x = np.sqrt(1 + v) * sde.complex_randn((16, 32), rng)
     v_phi = np.full((16, 32), v)
-    chains = np.stack([posterior_sample(x, prior, SCHED, SamplerConfig(), v_phi, rng)
-                       for _ in range(64)])
+    cfg = SamplerConfig(n_steps=n_steps)
+    chains = np.stack([posterior_sample(x, prior, SCHED, cfg, v_phi, rng) for _ in range(64)])
     slope = np.vdot(x, chains.mean(axis=0)).real / np.vdot(x, x).real
     variance = np.mean(np.var(chains, axis=0, ddof=1))
     assert slope == pytest.approx(1 / (1 + v), rel=0.10)

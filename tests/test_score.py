@@ -16,7 +16,7 @@ from diffenh.score import (
     save_checkpoint,
     train,
 )
-from oracles import GmmPrior, batch_terms, dsm_loss, gaussian_log_density
+from oracles import GmmPrior, batch_terms, broadcast_forward, dsm_loss, gaussian_log_density
 
 SCHED = sde.SdeSchedule()
 
@@ -163,7 +163,7 @@ def _all_float64_blocked_score(net, s, t):
     for lo in range(0, n, score.EVAL_BLOCK):
         hi = min(lo + score.EVAL_BLOCK, n)
         u = rows[lo:hi]
-        net._forward(params, state[lo:hi], bias, [a[: hi - lo] for a in scratch] + [u])
+        broadcast_forward(params, state[lo:hi], bias, [a[: hi - lo] for a in scratch] + [u])
         u -= state[lo:hi]
         u /= m
     return out.reshape(s.shape)
@@ -175,6 +175,34 @@ def test_float64_net_evaluate_is_bit_identical_to_all_float64_path(grid, hidden)
     net, s = _net_and_state(grid, hidden, np.float64)
     for t in (SCHED.t_min, 0.5, 1.0):
         assert np.array_equal(net.evaluate(s, t), _all_float64_blocked_score(net, s, t))
+
+
+def _broadcast_bias_score(net, s, t):
+    """evaluate in the net's dtype with each bias broadcast as a row over the
+    block, as it ran before the biases were tiled."""
+    dt = net.dtype
+    params = net.ema_params
+    bias = net._time_bias(params, float(t))[1].astype(dt, copy=False)
+    m = net.marginal_var(float(t))[0]
+    state = score._state_rows(s)
+    n = len(state)
+    out = np.empty(n, dtype=np.complex128)
+    rows = out.view(np.float64).reshape(n, 2)
+    for lo in range(0, n, score.EVAL_BLOCK):
+        hi = min(lo + score.EVAL_BLOCK, n)
+        u, _ = broadcast_forward(params, state[lo:hi].astype(dt, copy=False), bias)
+        np.subtract(u, state[lo:hi], out=rows[lo:hi])
+        rows[lo:hi] /= m
+    return out.reshape(s.shape)
+
+
+@HIDDEN
+@pytest.mark.parametrize("grid", ["5x7 transposed", "block-1", "block+1", "256x126"])
+def test_float32_net_evaluate_is_bit_identical_to_broadcast_bias_pass(grid, hidden):
+    # float64 nets are held to the same pass by the all-float64 test above
+    net, s = _net_and_state(grid, hidden, np.float32)
+    for t in (SCHED.t_min, 0.5, 1.0):
+        assert np.array_equal(net.evaluate(s, t), _broadcast_bias_score(net, s, t))
 
 
 @pytest.mark.parametrize("hidden", [(0,), (32, 0), (8, -1)])
@@ -302,7 +330,7 @@ def _unblocked_loss_and_grad(net, batch):
     params = score._layers(net.theta.astype(np.float64), net.sizes)
     state = score._state_rows(s_t)
     tf, bias = net._time_bias(params, batch.t)
-    out, acts = net._forward(params, state, bias)
+    out, acts = broadcast_forward(params, state, bias)
     m = np.repeat(net.marginal_var(batch.t), len(state) // b)[:, None]
     resid = (out - state) / m - score._state_rows(target)
     d = 2.0 * resid / m / b
@@ -398,7 +426,7 @@ def _all_float64_loss_and_grad(model, batch, sched):
             z = zeta[lo:hi].reshape(j - i, -1, 2)
             x = delta[i:j, None, None] * s0[lo:hi].reshape(z.shape) + sig[i:j, None, None] * z
             x, target = x.reshape(-1, 2), (neg_inv_sig[i:j, None, None] * z).reshape(-1, 2)
-            u, blk = model._forward(params, x, bias[i:j], [buf[: hi - lo] for buf in acts])
+            u, blk = broadcast_forward(params, x, bias[i:j], [buf[: hi - lo] for buf in acts])
             u_items = u.reshape(j - i, -1, 2)
             u -= x
             u_items /= scale
@@ -428,6 +456,48 @@ def test_float64_net_gradient_is_bit_identical_to_all_float64_pass(shape, hidden
     net, batch = _net_and_batch(shape, hidden, np.float64)
     loss, grad = dsm_loss_and_grad(net, batch, SCHED)
     ref_loss, ref_grad = _all_float64_loss_and_grad(net, batch, SCHED)
+    assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+
+def _one_block_broadcast_pass(net, batch):
+    """dsm_loss_and_grad for a batch that fits one block, in the net's dtype,
+    with each bias broadcast as a row over the block, as it ran before the
+    biases were tiled."""
+    delta, sig = score._batch_coeffs(batch, SCHED)
+    b = len(batch.t)
+    params = net.params
+    tf, bias = net._time_bias(params, batch.t)
+    s0, zeta = score._state_rows(batch.s0), score._state_rows(batch.zeta)
+    n = len(s0) // b
+    assert b * n <= score.EVAL_BLOCK
+
+    def per_row(a):
+        return np.repeat(a, n)[:, None]
+
+    x = per_row(delta) * s0 + per_row(sig) * zeta
+    x_in = x.astype(net.dtype)
+    u, acts = broadcast_forward(params, x_in, bias.astype(net.dtype))
+    m = per_row(net.marginal_var(batch.t))
+    r = (u - x) / m - per_row(-1.0 / sig) * zeta
+    d = (r * 2.0 / m / b).astype(net.dtype)
+    grad = np.zeros(net.n_params)
+    grads = score._layers(grad, net.sizes)
+    for k in range(len(params) - 1, 0, -1):
+        grads[k][0][...], grads[k][1][...] = acts[k].T @ d, d.sum(axis=0)
+        d = (d @ params[k][0].T) * (1.0 - acts[k] * acts[k])
+    per_item = d.reshape(b, -1, d.shape[1]).sum(axis=1).astype(np.float64)
+    W1, b1 = grads[0]
+    W1[:2], W1[2:], b1[...] = x_in.T @ d, tf.T @ per_item, per_item.sum(axis=0)
+    return float(np.vdot(r, r)) / b, grad
+
+
+@HIDDEN
+def test_float32_net_gradient_is_bit_identical_to_broadcast_bias_pass(hidden):
+    # float64 nets are held to the same pass, over several blocks, by the
+    # all-float64 test above
+    net, batch = _net_and_batch("one block", hidden, np.float32)
+    loss, grad = dsm_loss_and_grad(net, batch, SCHED)
+    ref_loss, ref_grad = _one_block_broadcast_pass(net, batch)
     assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
 

@@ -116,6 +116,20 @@ def test_complex_randn_moments():
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
+@pytest.mark.parametrize("shape", [(0,), (7,), (3, 5), (2, 3, 4), (256, 126)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_complex_randn_equals_scaled_complex_sum(shape, seed):
+    # the draws scaled into the real and imaginary views give the bits of
+    # the complex expression, signs of zeros included
+    got = sde.complex_randn(shape, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for part in ("real", "imag"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
 def test_perturb_moments():
     s = sde.SdeSchedule()
     rng = np.random.default_rng(7)
