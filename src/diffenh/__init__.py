@@ -19,7 +19,7 @@ from .score import (
 from .sampler import SamplerConfig, posterior_sample, unconditional_sample
 from .noise_nmf import NmfParams, init_nmf, is_objective, update_step, m_step
 from .em import EnhancementConfig, EnhancementResult, enhance_spectrogram, enhance_waveform
-from .metrics import MetricReport, si_sdr, evaluate_pair
+from .metrics import si_sdr, evaluate_pair
 
 __all__ = [
     "SdeSchedule",
@@ -52,7 +52,6 @@ __all__ = [
     "EnhancementResult",
     "enhance_spectrogram",
     "enhance_waveform",
-    "MetricReport",
     "si_sdr",
     "evaluate_pair",
 ]

@@ -191,8 +191,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_benchmark)
 
     for p in sub.choices.values():
-        # lets a config error name the flag that set the field: --batch, not batch_size
-        p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions})
+        # flags lets a config error name the flag that set the field: --batch, not
+        # batch_size; parser reports unknown arguments under the command's own usage
+        p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions}, parser=p)
     return root
 
 
@@ -227,6 +228,9 @@ def _config_tokens(path) -> list[str]:
 
 def _merge_config(argv: list[str]) -> list[str]:
     """Expand --config FILE into its tokens, placed before the explicit flags."""
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        raise _UsageError(f"diffenh: error: {argv[0]} comes before the command; "
+                          "the command comes first: diffenh COMMAND [flags]")
     pre = _Parser(prog="diffenh", add_help=False)
     pre.add_argument("--config", metavar="FILE")
     known, rest = pre.parse_known_args(argv)
@@ -355,9 +359,9 @@ def cmd_enhance(args) -> int:
     _save_wav(args.output, enhanced)
     if clean is not None:
         report = metrics.evaluate_pair(noisy, enhanced, clean)
-        sys.stdout.write(report.as_lines())
+        sys.stdout.write("".join(f"{key}={value:.4f}\n" for key, value in report.items()))
         if args.report:
-            metrics.write_report(args.report, report.as_dict())
+            metrics.write_report(args.report, report)
     return EXIT_OK
 
 
@@ -437,8 +441,8 @@ def cmd_benchmark(args) -> int:
         reports = list(pool.map(_run, tasks))
     labels = [t[1] for t in tasks]
     for label, rep in zip(labels, reports):
-        print(f"{label}: in {rep.input_si_sdr:+.2f} dB out {rep.si_sdr:+.2f} dB "
-              f"delta {rep.delta:+.2f} dB")
+        print(f"{label}: in {rep['input_si_sdr_db']:+.2f} dB out {rep['si_sdr_db']:+.2f} dB "
+              f"delta {rep['delta_db']:+.2f} dB")
     payload = metrics.aggregate_reports(reports, labels)
     agg = payload["aggregate"]
     print(f"aggregate over {agg['count']}: si_sdr {agg['si_sdr_mean_db']:+.2f} "
@@ -452,7 +456,9 @@ def cmd_benchmark(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_merge_config(argv))
+        args, extra = build_parser().parse_known_args(_merge_config(argv))
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

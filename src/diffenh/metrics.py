@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,28 +35,13 @@ def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     return 10.0 * math.log10(num / den) if num > 0 else -math.inf
 
 
-@dataclass
-class MetricReport:
-    si_sdr: float
-    input_si_sdr: float
-
-    @property
-    def delta(self) -> float:
-        return self.si_sdr - self.input_si_sdr
-
-    def as_lines(self) -> str:
-        return "".join(f"{key}={value:.4f}\n" for key, value in self.as_dict().items())
-
-    def as_dict(self) -> dict:
-        return {
-            "si_sdr_db": self.si_sdr,
-            "input_si_sdr_db": self.input_si_sdr,
-            "delta_db": self.delta,
-        }
+FIELDS = ("si_sdr_db", "input_si_sdr_db", "delta_db")
 
 
-def evaluate_pair(noisy: Waveform, enhanced: Waveform, clean: Waveform) -> MetricReport:
-    return MetricReport(si_sdr=si_sdr(enhanced, clean), input_si_sdr=si_sdr(noisy, clean))
+def evaluate_pair(noisy: Waveform, enhanced: Waveform, clean: Waveform) -> dict:
+    """The report of one utterance: its FIELDS, in that order."""
+    out, inp = si_sdr(enhanced, clean), si_sdr(noisy, clean)
+    return dict(zip(FIELDS, (out, inp, out - inp)))
 
 
 def _mean_halfwidth(values) -> tuple[float, float]:
@@ -68,25 +52,15 @@ def _mean_halfwidth(values) -> tuple[float, float]:
     return float(arr.mean()), float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def aggregate_reports(reports: list[MetricReport], labels: list[str] | None = None) -> dict:
-    """Per-file entries plus aggregate means with 95% half-widths."""
-    labels = labels if labels is not None else [str(i) for i in range(len(reports))]
-    files = [{"file": lab, **r.as_dict()} for lab, r in zip(labels, reports)]
-    out_mean, out_hw = _mean_halfwidth([r.si_sdr for r in reports])
-    in_mean, in_hw = _mean_halfwidth([r.input_si_sdr for r in reports])
-    d_mean, d_hw = _mean_halfwidth([r.delta for r in reports])
-    return {
-        "files": files,
-        "aggregate": {
-            "count": len(reports),
-            "si_sdr_mean_db": out_mean,
-            "si_sdr_halfwidth_db": out_hw,
-            "input_si_sdr_mean_db": in_mean,
-            "input_si_sdr_halfwidth_db": in_hw,
-            "delta_mean_db": d_mean,
-            "delta_halfwidth_db": d_hw,
-        },
-    }
+def aggregate_reports(reports: list[dict], labels: list[str]) -> dict:
+    """Per-file entries plus the mean and 95% half-width of each field."""
+    aggregate = {"count": len(reports)}
+    for name in FIELDS:
+        stem = name.removesuffix("_db")
+        aggregate[f"{stem}_mean_db"], aggregate[f"{stem}_halfwidth_db"] = _mean_halfwidth(
+            [r[name] for r in reports])
+    return {"files": [{"file": lab, **r} for lab, r in zip(labels, reports)],
+            "aggregate": aggregate}
 
 
 def write_report(path, payload: dict):

@@ -399,7 +399,9 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
     """Adam on the denoising objective with an EMA of the weights.
 
     Mutates and returns the model; returns (model, per-epoch mean losses).
-    Raises FloatingPointError if the loss goes non-finite.
+    Raises FloatingPointError if the loss or, after the last step, the
+    weights go non-finite; numpy's overflow warnings are silenced, since that
+    error reports the divergence.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
@@ -414,28 +416,31 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
     total = cfg.epochs * cfg.steps_per_epoch
     history = []
     done = 0
-    for _ in range(cfg.epochs):
-        acc = 0.0
-        for _ in range(cfg.steps_per_epoch):
-            batch = make_train_batch(dataset, cfg.batch_size, cfg.patch_frames, sched, rng)
-            loss, grad = dsm_loss_and_grad(model, batch, sched)
-            if not math.isfinite(loss):
-                raise FloatingPointError(f"training diverged at step {model.step}: loss={loss}")
-            acc += loss
-            done += 1
-            if cfg.lr_decay == "cosine":
-                lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * done / total))
-            else:
-                lr = cfg.lr
-            model.step += 1
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad**2
-            # the moments restart at zero in every call, so their bias
-            # correction counts this call's steps, not model.step; the step
-            # is float64, rounded once to the net's dtype by the subtraction
-            model.theta -= lr * (m / (1 - b1**done)) / (np.sqrt(v / (1 - b2**done)) + eps)
-            model.update_ema()
-        history.append(acc / cfg.steps_per_epoch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            acc = 0.0
+            for _ in range(cfg.steps_per_epoch):
+                batch = make_train_batch(dataset, cfg.batch_size, cfg.patch_frames, sched, rng)
+                loss, grad = dsm_loss_and_grad(model, batch, sched)
+                if not math.isfinite(loss):
+                    raise FloatingPointError(f"training diverged at step {model.step}: loss={loss}")
+                acc += loss
+                done += 1
+                if cfg.lr_decay == "cosine":
+                    lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * done / total))
+                else:
+                    lr = cfg.lr
+                model.step += 1
+                m = b1 * m + (1 - b1) * grad
+                v = b2 * v + (1 - b2) * grad**2
+                # the moments restart at zero in every call, so their bias
+                # correction counts this call's steps, not model.step; the step
+                # is float64, rounded once to the net's dtype by the subtraction
+                model.theta -= lr * (m / (1 - b1**done)) / (np.sqrt(v / (1 - b2**done)) + eps)
+                model.update_ema()
+            history.append(acc / cfg.steps_per_epoch)
+    if not np.isfinite(model.theta).all():
+        raise FloatingPointError(f"training diverged at step {model.step}: non-finite weights")
     return model, history
 
 
@@ -501,4 +506,6 @@ def load_checkpoint(path):
             vec[:] = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+    if not (np.isfinite(model.theta).all() and np.isfinite(model.ema_theta).all()):
+        raise ValueError(f"{path}: non-finite parameters")
     return model, sched

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diffenh
-from diffenh import cli, signal
+from diffenh import cli, metrics, signal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +65,22 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert cli.main(["sample", "--no-such-flag"]) == cli.EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_unknown_flag_is_reported_under_the_command_usage(capsys):
+    argv = ["enhance", "--input", "n.wav", "--ckpt", "c.bin", "--output", "o.wav", "--foo", "1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: diffenh enhance ")
+    assert err.splitlines()[-1] == "diffenh enhance: error: unrecognized arguments: --foo 1"
+
+
+@pytest.mark.parametrize("first", ["--seed", "--config", "-x"])
+def test_flag_before_the_command_is_usage_error(first, capsys):
+    assert cli.main([first, "3", "sample", "--ckpt", "c.bin", "--output", "o.wav"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"diffenh: error: {first} comes before the command; "
+                   "the command comes first: diffenh COMMAND [flags]\n")
 
 
 def test_missing_checkpoint_is_io_error(tmp_path, capsys):
@@ -174,6 +190,77 @@ def test_enhance_with_metrics_and_report(tiny_ckpt, tmp_path, capsys):
     assert len(enhanced) == len(signal.load_wav(noisy_path))
     payload = json.loads(rep_path.read_text())
     assert set(payload) == {"si_sdr_db", "input_si_sdr_db", "delta_db"}
+
+
+def test_enhance_report_text_is_pinned(tmp_path, monkeypatch, capsys):
+    # clean q[1,1,0,0], noisy q[1,1,1,0] and enhanced q[2,2,1,0], repeated: every
+    # dot product is exact, so input and output SI-SDR are 10 log10 of 2 and of 8
+    def tiled(pattern):
+        return signal.Waveform(0.25 * np.tile(pattern, 500), 16000)
+
+    noisy_path, clean_path = tmp_path / "noisy.wav", tmp_path / "clean.wav"
+    signal.save_wav(noisy_path, tiled([1.0, 1.0, 1.0, 0.0]))
+    signal.save_wav(clean_path, tiled([1.0, 1.0, 0.0, 0.0]))
+    monkeypatch.setattr(cli, "enhance_waveform", lambda noisy, *args: signal.Waveform(
+        noisy.samples * np.tile([2.0, 2.0, 1.0, 0.0], 500), noisy.sample_rate))
+    monkeypatch.setattr(cli.score, "load_checkpoint", lambda path: (None, None))
+    rep_path = tmp_path / "report.json"
+    assert cli.main(["enhance", "--input", str(noisy_path), "--ckpt", "c.bin",
+                     "--output", str(tmp_path / "o.wav"), "--clean", str(clean_path),
+                     "--report", str(rep_path), *FAST_ENHANCE]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "si_sdr_db=9.0309", "input_si_sdr_db=3.0103", "delta_db=6.0206"]
+    assert rep_path.read_text() == """{
+  "si_sdr_db": 9.030899869919436,
+  "input_si_sdr_db": 3.010299956639812,
+  "delta_db": 6.020599913279623
+}
+"""
+
+
+def test_benchmark_report_text_is_pinned(tiny_ckpt, tmp_path, monkeypatch, capsys):
+    values = iter([(1.5, -2.0), (3.5, 0.25)])
+
+    def evaluate_pair(noisy, enhanced, clean):
+        out, inp = next(values)
+        return dict(zip(metrics.FIELDS, (out, inp, out - inp)))
+
+    monkeypatch.setattr(metrics, "evaluate_pair", evaluate_pair)
+    monkeypatch.setattr(cli, "enhance_waveform", lambda noisy, *args: noisy)
+    rep_path = tmp_path / "report.json"
+    assert cli.main(["benchmark", "--ckpt", str(tiny_ckpt), "--synthetic", "--utterances", "1",
+                     "--frames", "16", "--snrs=-5,5", "--report", str(rep_path),
+                     *FAST_ENHANCE]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "synthetic-000@-5dB: in -2.00 dB out +1.50 dB delta +3.50 dB",
+        "synthetic-000@+5dB: in +0.25 dB out +3.50 dB delta +3.25 dB",
+        "aggregate over 2: si_sdr +2.50 +/- 1.96 dB, delta +3.38 +/- 0.24 dB"]
+    assert rep_path.read_text() == """{
+  "files": [
+    {
+      "file": "synthetic-000@-5dB",
+      "si_sdr_db": 1.5,
+      "input_si_sdr_db": -2.0,
+      "delta_db": 3.5
+    },
+    {
+      "file": "synthetic-000@+5dB",
+      "si_sdr_db": 3.5,
+      "input_si_sdr_db": 0.25,
+      "delta_db": 3.25
+    }
+  ],
+  "aggregate": {
+    "count": 2,
+    "si_sdr_mean_db": 2.5,
+    "si_sdr_halfwidth_db": 1.9599999999999997,
+    "input_si_sdr_mean_db": -0.875,
+    "input_si_sdr_halfwidth_db": 2.2049999999999996,
+    "delta_mean_db": 3.375,
+    "delta_halfwidth_db": 0.24499999999999997
+  }
+}
+"""
 
 
 @pytest.mark.parametrize("fault", [ValueError, RuntimeError])
@@ -456,12 +543,21 @@ def _bump_input_width(blob):
     blob[52] += 1
 
 
-def _bump_param_count(blob):
+def _param_count_offset(blob):
     # magic (8), version (4), schedule (36), then the sizes, the frequencies,
     # ema_decay and step (16) come before the first parameter count
     (n_sizes,) = struct.unpack_from("<I", blob, 48)
     (n_freqs,) = struct.unpack_from("<I", blob, 52 + 4 * n_sizes)
-    blob[52 + 4 * n_sizes + 4 + 8 * n_freqs + 16] += 1
+    return 52 + 4 * n_sizes + 4 + 8 * n_freqs + 16
+
+
+def _bump_param_count(blob):
+    blob[_param_count_offset(blob)] += 1
+
+
+def _inf_first_param(blob):
+    # the first float32 parameter follows its blob's 8-byte count
+    struct.pack_into("<f", blob, _param_count_offset(blob) + 8, np.inf)
 
 
 def _short_fmt_wav(tmp_path, ckpt):
@@ -484,6 +580,7 @@ MALFORMED_CASES = [
     ("checkpoint architecture", _edited_ckpt(_bump_input_width),
      "inconsistent architecture descriptor"),
     ("checkpoint parameter count", _edited_ckpt(_bump_param_count), "parameter blob size"),
+    ("checkpoint non-finite parameter", _edited_ckpt(_inf_first_param), "non-finite parameters"),
     # sigma_min follows magic (8), version (4) and gamma (8)
     ("checkpoint schedule", _edited_ckpt(lambda blob: struct.pack_into("<d", blob, 20, 1e-200)),
      "bad noise schedule"),
@@ -563,7 +660,7 @@ def test_readme_commands_parse():
         assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
 
 
-def test_enhance_with_nonfinite_checkpoint_is_numeric_error(tiny_ckpt, tmp_path, capsys):
+def test_enhance_with_nonfinite_checkpoint_is_io_error(tiny_ckpt, tmp_path, capsys):
     from diffenh import score
 
     model, sched = score.load_checkpoint(tiny_ckpt)
@@ -577,20 +674,24 @@ def test_enhance_with_nonfinite_checkpoint_is_numeric_error(tiny_ckpt, tmp_path,
         ["enhance", "--input", str(noisy_path), "--ckpt", str(bad),
          "--output", str(out_path), *FAST_ENHANCE]
     )
-    assert rc == cli.EXIT_NUMERIC
-    assert "non-finite score" in capsys.readouterr().err
+    assert rc == cli.EXIT_IO
+    assert capsys.readouterr().err == f"diffenh: error: {bad}: non-finite parameters\n"
     assert not out_path.exists()
 
 
-def test_training_divergence_is_numeric_error(tmp_path, capsys):
-    # a step this large overflows the float32 weights, so the next loss is nan
+# a step this large overflows the float32 weights: a later step's loss is nan,
+# and after a single step the weights themselves are checked
+@pytest.mark.parametrize("steps,cause", [("3", "loss=nan"), ("1", "non-finite weights")],
+                         ids=["loss", "weights"])
+def test_training_divergence_is_numeric_error(steps, cause, tmp_path, capsys):
     rc = cli.main(
         ["train", "--synthetic", "gaussian", "--items", "1", "--bins", "4", "--frames", "8",
-         "--patch-frames", "8", "--hidden", "4", "--epochs", "1", "--steps-per-epoch", "3",
+         "--patch-frames", "8", "--hidden", "4", "--epochs", "1", "--steps-per-epoch", steps,
          "--lr", "1e39", "--out", str(tmp_path / "t.bin")]
     )
     assert rc == cli.EXIT_NUMERIC
-    assert "training diverged" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()  # no numpy warnings besides the error
+    assert line.startswith("diffenh: error: training diverged at step ") and line.endswith(cause)
     assert not (tmp_path / "t.bin").exists()
 
 
