@@ -202,8 +202,11 @@ def build_parser() -> _Parser:
 
 
 def _config_tokens(path) -> list[str]:
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: config file is not UTF-8 text: {exc}") from exc
     tokens = []
     for ln, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -348,7 +351,8 @@ def cmd_enhance(args) -> int:
     cfg = _config(EnhancementConfig, args)
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
-    noisy = _load_wav(args.input)
+    # scored against --clean, silence in would be scored as silence out
+    noisy = _load_audible("--input", args.input) if args.clean else _load_wav(args.input)
     clean = _load_audible("--clean", args.clean) if args.clean else None
     if clean is not None and len(clean) != len(noisy):
         raise _UsageError(

@@ -16,7 +16,7 @@ def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     """Project the estimate onto the reference, then 10 log10 of the power ratio.
 
     Scale-invariant by construction.  Returns the +140 dB cap when the
-    residual is numerically zero.
+    residual is zero, and -inf when the target part is (as for silence).
     """
     est = estimate.samples
     ref = reference.samples
@@ -30,9 +30,11 @@ def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     resid = est - target
     num = float(np.dot(target, target))
     den = float(np.dot(resid, resid))
-    if den == 0.0 or (num > 0 and 10.0 * math.log10(num / den) > SI_SDR_CAP):
+    if num == 0.0:
+        return -math.inf
+    if den == 0.0 or 10.0 * math.log10(num / den) > SI_SDR_CAP:
         return SI_SDR_CAP
-    return 10.0 * math.log10(num / den) if num > 0 else -math.inf
+    return 10.0 * math.log10(num / den)
 
 
 FIELDS = ("si_sdr_db", "input_si_sdr_db", "delta_db")

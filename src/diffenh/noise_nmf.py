@@ -32,8 +32,9 @@ class NmfParams:
         self.H = np.maximum(self.H, EPS_NMF)
 
     @property
-    def rank(self) -> int:
-        return self.W.shape[1]
+    def shape(self) -> tuple[int, int]:
+        """(F, T), the grid of the variance and of any power grid fitted to it."""
+        return self.W.shape[0], self.H.shape[1]
 
     def variance(self) -> np.ndarray:
         return np.maximum(self.W @ self.H, EPS_NMF)
@@ -52,10 +53,14 @@ def init_nmf(f_bins: int, t_frames: int, rank: int, power_scale: float, seed: in
     return NmfParams(W=c * w, H=c * h)
 
 
+def _check_grid(P: np.ndarray, params: NmfParams):
+    if P.shape != params.shape:
+        raise ValueError(f"power grid shape {P.shape} does not match factors {params.shape}")
+
+
 def is_objective(P: np.ndarray, params: NmfParams) -> float:
     """sum over the grid of P/V + log V with V = W @ H."""
-    if P.shape != (params.W.shape[0], params.H.shape[1]):
-        raise ValueError(f"power grid shape {P.shape} does not match factors")
+    _check_grid(P, params)
     v = params.variance()
     return float(np.sum(P / v + np.log(v)))
 
@@ -75,11 +80,9 @@ def update_step(P: np.ndarray, params: NmfParams) -> NmfParams:
     return NmfParams(W=w, H=h)
 
 
-def m_step(x: np.ndarray, s_hat: np.ndarray, params: NmfParams, n_updates: int = 20) -> NmfParams:
-    """Fit the noise variance to the residual power |x - s_hat|^2."""
-    if x.shape != s_hat.shape:
-        raise ValueError(f"mixture shape {x.shape} != estimate shape {s_hat.shape}")
-    P = np.abs(x - s_hat) ** 2
+def m_step(P: np.ndarray, params: NmfParams, n_updates: int = 20) -> NmfParams:
+    """Fit the noise variance to the residual power grid P, such as |x - s_hat|^2."""
+    _check_grid(P, params)
     for _ in range(n_updates):
         params = update_step(P, params)
     return params

@@ -8,12 +8,13 @@ Euler-Maruyama predictor.  The returned value is the conditional mean at t_min
 sigma(t_min)^2 of kernel noise that the caller never wants.  A chain makes
 2N + 1 score evaluations.
 
-A posterior chain runs the same start and loop on the posterior score given a
+A posterior chain is unconditional_sample run on the posterior score given a
 mixture x = s_0 + n, n ~ N_C(0, v): the prior score S plus the score of the
 likelihood p(x | s_tau) under the Tweedie moments of the unit-variance prior
 that the score net's residual map assumes.  With kernel moments delta and
-sigma^2 and m = delta^2 + sigma^2, s_0 given s_tau has mean (s + sigma^2 S)/delta,
-mean Jacobian delta/m and variance sigma^2/m, and the posterior score folds to
+sigma^2 and m = delta^2 + sigma^2 (KernelMoments.m), s_0 given s_tau has
+mean (s + sigma^2 S)/delta, mean Jacobian delta/m and variance sigma^2/m,
+and the posterior score folds to
 
     (m v S + delta x - s) / (sigma^2 + m v).
 
@@ -56,7 +57,7 @@ class _PosteriorScore:
 
     def evaluate(self, s: np.ndarray, tau: float) -> np.ndarray:
         mom = kernel_moments(tau, self.sched)
-        mv = (mom.delta**2 + mom.var) * self.v
+        mv = mom.m * self.v
         out = mv * self.model.evaluate(s, tau)
         out += mom.delta * self.x
         out -= s
@@ -98,10 +99,11 @@ def _denoise(s: np.ndarray, model, sched: SdeSchedule, t: float) -> np.ndarray:
     return (s + mom.var * _check_finite(model.evaluate(s, t), t)) / mom.delta
 
 
-def _reverse_loop(
+def unconditional_sample(
     shape, model, sched: SdeSchedule, cfg: SamplerConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Start at N_C(0, sigma(1)^2 I) and run the loop on model's score."""
+    """Sample the distribution whose score model evaluates (the prior, or the
+    posterior through _PosteriorScore), starting at N_C(0, sigma(1)^2 I)."""
     s = math.sqrt(kernel_moments(1.0, sched).var) * complex_randn(shape, rng)
     t_min = sched.t_min
     dtau = (1.0 - t_min) / cfg.n_steps
@@ -124,11 +126,4 @@ def posterior_sample(
     v = np.broadcast_to(np.asarray(v_phi, dtype=np.float64), x.shape)
     if not np.all((v >= 0) & (v < np.inf)):
         raise ValueError("v_phi must be finite and nonnegative")
-    return _reverse_loop(x.shape, _PosteriorScore(model, x, v, sched), sched, cfg, rng)
-
-
-def unconditional_sample(
-    shape, model, sched: SdeSchedule, cfg: SamplerConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample the prior."""
-    return _reverse_loop(shape, model, sched, cfg, rng)
+    return unconditional_sample(x.shape, _PosteriorScore(model, x, v, sched), sched, cfg, rng)

@@ -12,6 +12,7 @@ against full real-pair gradients must therefore halve the differences.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -117,10 +118,10 @@ class ToyScoreNet:
 
     The network output u is mapped to the score as (u - s) / m(t), where
     m(t) = delta_t^2 + sigma(t)^2 is the perturbed marginal variance of a
-    unit-variance prior.  A raw MLP saturates outside the training radius and
-    stops pulling large states back; this residual form keeps the exact
-    Gaussian tail score -s/m(t) at any radius (the ideal u for unit Gaussian
-    data is simply zero).
+    unit-variance prior (sde.KernelMoments.m under the net's sched).  A raw
+    MLP saturates outside the training radius and stops pulling large states
+    back; this residual form keeps the exact Gaussian tail score -s/m(t) at
+    any radius (the ideal u for unit Gaussian data is simply zero).
 
     The first layer sees (re, im) through W1[:2] and the time embedding
     through W1[2:].  The time part depends on t alone, so it is computed once
@@ -204,20 +205,11 @@ class ToyScoreNet:
             acts.append(h)
         return h, acts
 
-    def marginal_var(self, t) -> np.ndarray:
-        """m(t) = delta_t^2 + sigma(t)^2 for scalar or 1-D t."""
-        tt = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.empty(tt.shape)
-        for i, ti in enumerate(tt):
-            mom = kernel_moments(float(ti), self.sched)
-            out[i] = mom.delta**2 + mom.var
-        return out
-
     def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
         dt = self.dtype
         params = self.ema_params
         bias = self._time_bias(params, float(t))[1].astype(dt, copy=False)
-        m = self.marginal_var(float(t))[0]
+        m = kernel_moments(float(t), self.sched).m
         state = _state_rows(s_t)
         n = len(state)
         score = np.empty(n, dtype=np.complex128)
@@ -277,17 +269,20 @@ def make_train_batch(
 
 
 def _batch_coeffs(batch: TrainBatch, sched: SdeSchedule):
-    """Per-item delta_t and sigma(t): the perturbed state is
-    delta_t * s0 + sigma(t) * zeta and the target is -zeta / sigma(t)."""
+    """Per-item delta_t, sigma(t) and m(t): the perturbed state is
+    delta_t * s0 + sigma(t) * zeta, the target is -zeta / sigma(t), and the
+    net's residual map divides by m(t)."""
     if np.any(batch.t < sched.t_min) or np.any(batch.t > 1.0):
         raise ValueError("training times must lie in [t_min, 1]")
     moments = [kernel_moments(float(tt), sched) for tt in batch.t]
-    return np.array([mom.delta for mom in moments]), np.sqrt([mom.var for mom in moments])
+    return (np.array([mom.delta for mom in moments]), np.sqrt([mom.var for mom in moments]),
+            np.array([mom.m for mom in moments]))
 
 
-def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule):
+def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch):
     """Loss and its exact gradient with respect to the live weights, a
-    float64 vector laid out like model.theta.
+    float64 vector laid out like model.theta.  The perturbation and the
+    residual map both follow model.sched.
 
     Walks the batch in blocks of at most EVAL_BLOCK points, as evaluate walks
     a grid, so the activations and deltas of a block stay in cache: a block
@@ -305,7 +300,7 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
     products are added in place into the float64 grad.  A float64 net
     computes everything in float64.
     """
-    delta, sig = _batch_coeffs(batch, sched)
+    delta, sig, m = _batch_coeffs(batch, model.sched)
     # numpy divides a complex array by a real one as a product with the
     # reciprocal, so the target rows below equal -zeta / sigma bit for bit
     neg_inv_sig = -1.0 / sig
@@ -316,7 +311,6 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch, sched: SdeSchedule)
     zeta = _state_rows(batch.zeta)
     tf, bias = model._time_bias(params, batch.t)
     bias = bias.astype(dt, copy=False)
-    m = model.marginal_var(batch.t)
     n = len(s0) // b
     per_block = min(b, max(1, EVAL_BLOCK // n))  # whole items per block; 1 when chunking
     rows = min(per_block * n, EVAL_BLOCK)
@@ -407,7 +401,7 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
         raise ValueError("train: empty dataset")
     if any(spec.shape[0] < 1 for spec in dataset):
         raise ValueError("train: dataset items need at least one frequency bin")
-    model.sched = sched  # the output map's m(t) must follow the training schedule
+    model.sched = sched  # dsm_loss_and_grad perturbs and maps the output under model.sched
     rng = np.random.default_rng(cfg.seed)
     # Adam moments, laid out like theta
     m = np.zeros(model.n_params)
@@ -421,7 +415,7 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
             acc = 0.0
             for _ in range(cfg.steps_per_epoch):
                 batch = make_train_batch(dataset, cfg.batch_size, cfg.patch_frames, sched, rng)
-                loss, grad = dsm_loss_and_grad(model, batch, sched)
+                loss, grad = dsm_loss_and_grad(model, batch)
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"training diverged at step {model.step}: loss={loss}")
                 acc += loss
@@ -468,7 +462,8 @@ def save_checkpoint(model: ToyScoreNet, sched: SdeSchedule, path):
 
 
 def _read_exact(fh, n, path):
-    buf = fh.read(n)
+    # a corrupt count must fail here, not allocate n bytes the file does not hold
+    buf = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
     if len(buf) != n:
         raise ValueError(f"{path}: truncated checkpoint")
     return buf

@@ -63,6 +63,11 @@ class KernelMoments:
     delta: float
     var: float
 
+    @property
+    def m(self) -> float:
+        """delta^2 + var: the variance of s_t under a unit-variance s_0."""
+        return self.delta**2 + self.var
+
 
 def _check_time(t: float):
     if not 0.0 <= t <= 1.0:

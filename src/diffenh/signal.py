@@ -35,9 +35,6 @@ class Waveform:
     def __len__(self):
         return len(self.samples)
 
-    def power(self) -> float:
-        return float(np.mean(self.samples**2)) if len(self) else 0.0
-
 
 @dataclass(frozen=True)
 class StftConfig:

@@ -113,7 +113,7 @@ class GmmPrior:
 
 def batch_terms(batch: TrainBatch, sched: SdeSchedule):
     """The perturbed state and the target of the whole batch."""
-    delta, sig = _batch_coeffs(batch, sched)
+    delta, sig, _ = _batch_coeffs(batch, sched)
     s_t = delta[:, None, None] * batch.s0 + sig[:, None, None] * batch.zeta
     target = -batch.zeta / sig[:, None, None]
     return s_t, target

@@ -132,7 +132,7 @@ def test_dsm_loss_oracle_zero_and_exact_gradient(sched, record_acceptance):
 
     net = score.ToyScoreNet(hidden=(16, 16), seed=5, dtype=np.float64, sched=sched)
     grad_batch = score.make_train_batch(dataset, 3, 4, sched, rng)
-    _, analytic = score.dsm_loss_and_grad(net, grad_batch, sched)
+    _, analytic = score.dsm_loss_and_grad(net, grad_batch)
     base = net.theta.copy()
     idx = rng.choice(base.size, 60, replace=False)
     eps = 1e-6

@@ -5,6 +5,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,10 @@ def test_config_file_errors(tiny_ckpt, tmp_path, capsys):
     bad.write_text("frames 8\n")
     assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
     assert "expected key=value" in capsys.readouterr().err
+    # a UTF-16 byte-order mark: not UTF-8 text, whatever the locale's encoding
+    bad.write_bytes(b"\xff\xfeframes = 8\n")
+    assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
+    assert f"{bad}: config file is not UTF-8 text" in capsys.readouterr().err
     assert cli.main(argv + ["--config", str(tmp_path / "gone.cfg")]) == cli.EXIT_IO
     capsys.readouterr()
 
@@ -555,6 +560,16 @@ def _bump_param_count(blob):
     blob[_param_count_offset(blob)] += 1
 
 
+def _huge_size_count(blob):
+    # the count of the sizes follows magic (8), version (4) and schedule (36)
+    struct.pack_into("<I", blob, 48, 0xFFFFFFFF)
+
+
+def _huge_freq_count(blob):
+    (n_sizes,) = struct.unpack_from("<I", blob, 48)
+    struct.pack_into("<I", blob, 52 + 4 * n_sizes, 0xFFFFFFFF)
+
+
 def _inf_first_param(blob):
     # the first float32 parameter follows its blob's 8-byte count
     struct.pack_into("<f", blob, _param_count_offset(blob) + 8, np.inf)
@@ -580,6 +595,9 @@ MALFORMED_CASES = [
     ("checkpoint architecture", _edited_ckpt(_bump_input_width),
      "inconsistent architecture descriptor"),
     ("checkpoint parameter count", _edited_ckpt(_bump_param_count), "parameter blob size"),
+    # counts that ask for more bytes (16 GiB) than the file holds
+    ("checkpoint size count", _edited_ckpt(_huge_size_count), "truncated checkpoint"),
+    ("checkpoint frequency count", _edited_ckpt(_huge_freq_count), "truncated checkpoint"),
     ("checkpoint non-finite parameter", _edited_ckpt(_inf_first_param), "non-finite parameters"),
     # sigma_min follows magic (8), version (4) and gamma (8)
     ("checkpoint schedule", _edited_ckpt(lambda blob: struct.pack_into("<d", blob, 20, 1e-200)),
@@ -593,9 +611,16 @@ MALFORMED_CASES = [
                          ids=[c[0] for c in MALFORMED_CASES])
 def test_malformed_input_is_io_error_naming_the_path(build, message, tiny_ckpt, tmp_path, capsys):
     argv, offending = build(tmp_path, tiny_ckpt)
-    assert cli.main(argv) == cli.EXIT_IO
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == cli.EXIT_IO
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert f"{offending}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # a corrupt count is refused before it allocates what it asks for
+    assert peak < 2**24
 
 
 def test_enhance_checks_reference_length_before_enhancing(tiny_ckpt, tmp_path, capsys):
@@ -804,11 +829,15 @@ NOTHING_TO_DO_CASES = [
      "--frames 16 --snrs 0 --clean-dir {out} --report {out} " + _FAST, "--clean-dir"),
 ]
 
-# the same, for a WAV with no samples, rejected once read and before any STFT;
-# {empty} is a directory that holds only empty.wav
+# the same, for a WAV with no samples or no power, rejected once read and before
+# any STFT; {empty} is a directory that holds empty.wav (no samples) and
+# silent.wav (2000 zeros)
 EMPTY_WAV_CASES = [
     ("enhance --input empty.wav", "enhance --input {empty}/empty.wav --ckpt {ckpt} "
      "--output {out} " + _FAST, "{empty}/empty.wav"),
+    # with --clean, the silent output of a silent input would be scored
+    ("enhance --input silent.wav --clean", "enhance --input {empty}/silent.wav --clean {noisy} "
+     "--ckpt {ckpt} --output {out} " + _FAST, "--input: {empty}/silent.wav is silent"),
     ("train --data with an empty WAV", "train --data {empty} --steps-per-epoch 1 --out {out}",
      "{empty}/empty.wav"),
 ]
@@ -820,6 +849,7 @@ def test_inputs_that_produce_nothing_are_usage_errors(argv, flag, tiny_ckpt, tmp
     out, empty = tmp_path / "out", tmp_path / "empty"
     empty.mkdir()
     signal.save_wav(empty / "empty.wav", signal.Waveform(np.zeros(0), 16000))
+    signal.save_wav(empty / "silent.wav", signal.Waveform(np.zeros(2000), 16000))
     noisy, _ = _write_noisy(tmp_path)
     paths = {"out": out, "ckpt": tiny_ckpt, "noisy": noisy, "empty": empty}
     rc = cli.main([tok.format(**paths) for tok in argv.split()])

@@ -10,7 +10,7 @@ import pytest
 
 from diffenh import em
 from diffenh.em import EnhancementConfig, enhance_spectrogram, enhance_waveform
-from diffenh.noise_nmf import init_nmf, m_step
+from diffenh.noise_nmf import init_nmf, is_objective, m_step
 from diffenh.sampler import SamplerConfig, posterior_sample
 from diffenh.score import AnalyticGaussianPrior, ToyScoreNet
 from diffenh.sde import SdeSchedule
@@ -27,10 +27,10 @@ def test_config_validation():
         EnhancementConfig(em_iters=0)
     with pytest.raises(ValueError, match=r"^batch must be >= 1, got 0$"):
         EnhancementConfig(batch=0)
-    assert EnhancementConfig().sampler_config() == SamplerConfig(n_steps=20)
+    assert EnhancementConfig().reverse_steps == 20
     with pytest.warns(DeprecationWarning, match=r"^posterior_every is ignored$"):
         cfg = EnhancementConfig(reverse_steps=12, posterior_every=3)
-    assert cfg.sampler_config() == SamplerConfig(n_steps=12)
+    assert cfg.reverse_steps == 12
 
 
 def test_trace_structure_and_nmf_refit(sched):
@@ -45,6 +45,10 @@ def test_trace_structure_and_nmf_refit(sched):
         assert np.isfinite(entry["residual_power"])
     assert res.s_hat.shape == x.shape
     assert res.nmf.variance().shape == x.shape
+    # the last entry describes the returned estimate and noise factors exactly
+    power = np.abs(x - res.s_hat) ** 2
+    assert res.trace[-1] == {"residual_power": float(np.mean(power)),
+                             "m_step_objective": is_objective(power, res.nmf)}
 
 
 def test_determinism(sched):
@@ -88,9 +92,9 @@ def _mixture(shape, seed):
 
 def _sequential_em(x, model, sched, cfg):
     """The EM loop with its chains drawn one after another, as first written."""
-    scfg = cfg.sampler_config()
+    scfg = SamplerConfig(n_steps=cfg.reverse_steps)
     params = init_nmf(*x.shape, cfg.nmf_rank, float(np.mean(np.abs(x) ** 2)), seed=cfg.seed)
-    params = m_step(x, np.zeros_like(x), params, cfg.nmf_inner_updates)
+    params = m_step(np.abs(x) ** 2, params, cfg.nmf_inner_updates)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.em_iters * cfg.batch)
     for k in range(cfg.em_iters):
         v_phi = params.variance()
@@ -100,7 +104,7 @@ def _sequential_em(x, model, sched, cfg):
             for j in range(cfg.batch)
         ]
         s_hat = np.mean(chains, axis=0)
-        params = m_step(x, s_hat, params, cfg.nmf_inner_updates)
+        params = m_step(np.abs(x - s_hat) ** 2, params, cfg.nmf_inner_updates)
     return s_hat, params
 
 

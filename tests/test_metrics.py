@@ -46,6 +46,8 @@ def test_negative_infinity_when_estimate_orthogonal():
     ref = wf([1.0, 1.0, 0.0, 0.0])
     est = wf([1.0, -1.0, 0.0, 0.0])
     assert si_sdr(est, ref) == -math.inf
+    # silence is orthogonal too, though its residual is zero, not the cap's case
+    assert si_sdr(wf(np.zeros(4)), ref) == -math.inf
 
 
 def test_errors():

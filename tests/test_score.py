@@ -95,7 +95,8 @@ def _feature_matrix_score(net, s, t):
         h = h @ W + b
         if i < last:
             h = np.tanh(h)
-    return ((h[:, 0] + 1j * h[:, 1] - flat) / net.marginal_var(t)[0]).reshape(s.shape)
+    m = sde.kernel_moments(t, net.sched).m
+    return ((h[:, 0] + 1j * h[:, 1] - flat) / m).reshape(s.shape)
 
 
 GRIDS = {
@@ -154,7 +155,7 @@ def _all_float64_blocked_score(net, s, t):
     to float64 and the network output written straight into the score."""
     params = score._layers(net.ema_theta.astype(np.float64), net.sizes)
     _, bias = net._time_bias(params, float(t))
-    m = net.marginal_var(float(t))[0]
+    m = sde.kernel_moments(float(t), net.sched).m
     state = score._state_rows(s)
     n = len(state)
     out = np.empty(n, dtype=np.complex128)
@@ -183,7 +184,7 @@ def _broadcast_bias_score(net, s, t):
     dt = net.dtype
     params = net.ema_params
     bias = net._time_bias(params, float(t))[1].astype(dt, copy=False)
-    m = net.marginal_var(float(t))[0]
+    m = sde.kernel_moments(float(t), net.sched).m
     state = score._state_rows(s)
     n = len(state)
     out = np.empty(n, dtype=np.complex128)
@@ -223,7 +224,7 @@ def test_toy_net_far_field_follows_gaussian_tail():
     # the residual output map guarantees score -> -s/m(t) far from the data
     net = ToyScoreNet(seed=1, sched=SCHED)
     for t in (0.1, 1.0):
-        m = net.marginal_var(t)[0]
+        m = sde.kernel_moments(t, net.sched).m
         s = np.array([[200.0 + 150.0j]])
         got = net.evaluate(s, t)
         assert np.abs(got + s / m) / np.abs(s / m) < 0.05
@@ -257,7 +258,7 @@ def test_make_train_batch_contract():
     for t in (SCHED.t_min / 2, 1.5):
         outside = score.TrainBatch(s0=s0, t=np.array([0.5, t]), zeta=zeta)
         with pytest.raises(ValueError, match=re.escape("training times must lie in [t_min, 1]")):
-            dsm_loss_and_grad(net, outside, SCHED)
+            dsm_loss_and_grad(net, outside)
 
 
 def test_dsm_loss_zero_when_oracle_injected():
@@ -298,7 +299,7 @@ def _fd_gradient_error(item_shape, batch_size, patch_frames):
     ds = [prior.sample(item_shape, rng) for _ in range(4)]
     batch = make_train_batch(ds, batch_size, patch_frames, SCHED, rng)
 
-    _, analytic = dsm_loss_and_grad(net, batch, SCHED)
+    _, analytic = dsm_loss_and_grad(net, batch)
     base = net.theta.copy()
     eps = 1e-6
     idx = rng.choice(base.size, 60, replace=False)
@@ -323,6 +324,16 @@ def test_dsm_gradient_matches_finite_differences_across_blocks():
     assert _fd_gradient_error((4, 640), 3, 600) < 1e-4
 
 
+def test_dsm_loss_perturbs_and_maps_under_the_nets_schedule():
+    other = sde.SdeSchedule(gamma=0.5, sigma_max=1.0)
+    net = ToyScoreNet(hidden=(4,), seed=1, dtype=np.float64, sched=other)
+    batch = _random_batch((3, 4, 4), np.random.default_rng(2))
+    loss, _ = dsm_loss_and_grad(net, batch)
+    # dsm_loss scores the EMA weights, which equal the live ones before any step
+    assert loss == pytest.approx(dsm_loss(net, batch, other), rel=1e-12)
+    assert loss != pytest.approx(dsm_loss(net, batch, SCHED), rel=1e-3)
+
+
 def _unblocked_loss_and_grad(net, batch):
     """The gradient pass as first written: every layer over the whole batch."""
     s_t, target = batch_terms(batch, SCHED)
@@ -331,7 +342,8 @@ def _unblocked_loss_and_grad(net, batch):
     state = score._state_rows(s_t)
     tf, bias = net._time_bias(params, batch.t)
     out, acts = broadcast_forward(params, state, bias)
-    m = np.repeat(net.marginal_var(batch.t), len(state) // b)[:, None]
+    m_items = [sde.kernel_moments(float(t), net.sched).m for t in batch.t]
+    m = np.repeat(m_items, len(state) // b)[:, None]
     resid = (out - state) / m - score._state_rows(target)
     d = 2.0 * resid / m / b
     grad = np.zeros(net.n_params)
@@ -370,7 +382,7 @@ def _net_and_batch(shape, hidden, dtype):
 
 
 def _assert_gradient_close(net, batch, loss_tol, grad_tol):
-    loss, grad = dsm_loss_and_grad(net, batch, SCHED)
+    loss, grad = dsm_loss_and_grad(net, batch)
     ref_loss, ref_grad = _unblocked_loss_and_grad(net, batch)
     assert abs(loss - ref_loss) <= loss_tol * ref_loss
     assert grad.shape == net.theta.shape and grad.dtype == np.float64
@@ -397,17 +409,16 @@ def test_float32_net_gradient_is_close_to_float64_formula(shape, hidden):
     _assert_gradient_close(net, batch, 1e-7, 4e-6)
 
 
-def _all_float64_loss_and_grad(model, batch, sched):
+def _all_float64_loss_and_grad(model, batch):
     """dsm_loss_and_grad as it ran when every net trained in float64: the
     weights cast to float64 and the residual computed in the output buffer."""
-    delta, sig = score._batch_coeffs(batch, sched)
+    delta, sig, m = score._batch_coeffs(batch, model.sched)
     neg_inv_sig = -1.0 / sig
     b = len(batch.t)
     params = score._layers(model.theta.astype(np.float64), model.sizes)
     s0 = score._state_rows(batch.s0)
     zeta = score._state_rows(batch.zeta)
     tf, bias = model._time_bias(params, batch.t)
-    m = model.marginal_var(batch.t)
     n = len(s0) // b
     per_block = min(b, max(1, score.EVAL_BLOCK // n))
     rows = min(per_block * n, score.EVAL_BLOCK)
@@ -454,8 +465,8 @@ def _all_float64_loss_and_grad(model, batch, sched):
 @pytest.mark.parametrize("shape", ["4 items per block", "ragged last block", "chunked items"])
 def test_float64_net_gradient_is_bit_identical_to_all_float64_pass(shape, hidden):
     net, batch = _net_and_batch(shape, hidden, np.float64)
-    loss, grad = dsm_loss_and_grad(net, batch, SCHED)
-    ref_loss, ref_grad = _all_float64_loss_and_grad(net, batch, SCHED)
+    loss, grad = dsm_loss_and_grad(net, batch)
+    ref_loss, ref_grad = _all_float64_loss_and_grad(net, batch)
     assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
 
@@ -463,7 +474,7 @@ def _one_block_broadcast_pass(net, batch):
     """dsm_loss_and_grad for a batch that fits one block, in the net's dtype,
     with each bias broadcast as a row over the block, as it ran before the
     biases were tiled."""
-    delta, sig = score._batch_coeffs(batch, SCHED)
+    delta, sig, m = score._batch_coeffs(batch, SCHED)
     b = len(batch.t)
     params = net.params
     tf, bias = net._time_bias(params, batch.t)
@@ -477,7 +488,7 @@ def _one_block_broadcast_pass(net, batch):
     x = per_row(delta) * s0 + per_row(sig) * zeta
     x_in = x.astype(net.dtype)
     u, acts = broadcast_forward(params, x_in, bias.astype(net.dtype))
-    m = per_row(net.marginal_var(batch.t))
+    m = per_row(m)
     r = (u - x) / m - per_row(-1.0 / sig) * zeta
     d = (r * 2.0 / m / b).astype(net.dtype)
     grad = np.zeros(net.n_params)
@@ -496,7 +507,7 @@ def test_float32_net_gradient_is_bit_identical_to_broadcast_bias_pass(hidden):
     # float64 nets are held to the same pass, over several blocks, by the
     # all-float64 test above
     net, batch = _net_and_batch("one block", hidden, np.float32)
-    loss, grad = dsm_loss_and_grad(net, batch, SCHED)
+    loss, grad = dsm_loss_and_grad(net, batch)
     ref_loss, ref_grad = _one_block_broadcast_pass(net, batch)
     assert loss == ref_loss and np.array_equal(grad, ref_grad)
 
@@ -531,8 +542,8 @@ def test_train_keeps_parameter_dtypes_and_float64_adam_state(dtype, monkeypatch)
     theta = net.theta.copy()
     seen = []
 
-    def recording(model, batch, sched):
-        loss, grad = dsm_loss_and_grad(model, batch, sched)
+    def recording(model, batch):
+        loss, grad = dsm_loss_and_grad(model, batch)
         seen.append(grad)
         return loss, grad
 
@@ -560,7 +571,7 @@ def test_gradient_pass_peak_memory_at_cli_default_shape():
     batch = _random_batch((16, 256, 256), np.random.default_rng(0))
     tracemalloc.start()
     try:
-        dsm_loss_and_grad(net, batch, SCHED)
+        dsm_loss_and_grad(net, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -574,7 +585,7 @@ def test_gradient_pass_holds_no_batch_sized_array():
     batch = _random_batch((4, 256, 256), np.random.default_rng(0))
     tracemalloc.start()
     try:
-        dsm_loss_and_grad(net, batch, SCHED)
+        dsm_loss_and_grad(net, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffenh import sde
+from diffenh.score import AnalyticGaussianPrior
 from oracles import variance_ode_error
 
 
@@ -83,6 +84,13 @@ def test_marginal_variance_at_one():
     # sigma(1)^2 for the default schedule, used by the corrector step size
     var = sde.kernel_moments(1.0, sde.SdeSchedule()).var
     assert var == pytest.approx(0.15131, abs=5e-6)
+
+
+@pytest.mark.parametrize("t", [0.0, sde.SdeSchedule().t_min, 0.5, 1.0])
+def test_unit_prior_marginal_variance_is_the_analytic_priors(t):
+    sched = sde.SdeSchedule()
+    prior = AnalyticGaussianPrior(mean=0.0, var0=1.0, sched=sched)
+    assert sde.kernel_moments(t, sched).m == prior.marginal(t)[1]
 
 
 def test_variance_ode_matches_closed_form():
