@@ -419,8 +419,10 @@ def cmd_benchmark(args) -> int:
         snrs = [float(v) for v in args.snrs.split(",")]
     except ValueError as exc:
         raise _UsageError(f"bad --snrs value {args.snrs!r}") from exc
-    if not np.isfinite(snrs).all():
-        raise _UsageError(f"--snrs values must be finite dB levels, got {args.snrs!r}")
+    bound = signal.MAX_SNR_DB
+    if not all(-bound <= snr <= bound for snr in snrs):
+        raise _UsageError(f"--snrs values must be finite dB levels in [{-bound:g}, {bound:g}], "
+                          f"got {args.snrs!r}")
     if args.synthetic:
         # a synthetic utterance has (frames - 1) * hop samples, known before sampling
         _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,

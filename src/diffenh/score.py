@@ -12,9 +12,8 @@ against full real-pair gradients must therefore halve the differences.
 from __future__ import annotations
 
 import math
-import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -88,6 +87,17 @@ def _time_features(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.concatenate([t[:, None], np.sin(ang), np.cos(ang)], axis=1)
 
 
+def _layer_sizes(hidden, n_freqs) -> tuple:
+    """The architecture rule: the input (re, im, t and a sine and a cosine per
+    embedding frequency), the hidden widths, then the output (re, im)."""
+    return (3 + 2 * n_freqs,) + tuple(hidden) + (2,)
+
+
+def _n_weights(sizes) -> int:
+    """Weights and biases of a net of these layer sizes, sum of (a + 1) * b."""
+    return sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+
+
 def _layers(vec: np.ndarray, sizes) -> list:
     """Per-layer (W, b) views of a flat weight vector in checkpoint order:
     for each layer, W row-major and then b."""
@@ -152,13 +162,12 @@ class ToyScoreNet:
             raise ValueError(f"hidden widths must be at least 1, got {tuple(hidden)}")
         self.emb_freqs = np.asarray(emb_freqs, dtype=np.float64)
         self.sched = sched if sched is not None else SdeSchedule()
-        in_dim = 3 + 2 * len(self.emb_freqs)
-        self.sizes = (in_dim,) + tuple(hidden) + (2,)
+        self.sizes = _layer_sizes(hidden, len(self.emb_freqs))
         self.ema_decay = 0.999
         self.dtype = np.dtype(dtype)
         self.step = 0
         rng = np.random.default_rng(seed)
-        self.theta = np.zeros(sum((a + 1) * b for a, b in zip(self.sizes, self.sizes[1:])), dtype)
+        self.theta = np.zeros(_n_weights(self.sizes), dtype)
         for W, _ in self.params:
             W[...] = rng.standard_normal(W.shape) / math.sqrt(W.shape[0])
         self.ema_theta = self.theta.copy()
@@ -393,9 +402,9 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
     """Adam on the denoising objective with an EMA of the weights.
 
     Mutates and returns the model; returns (model, per-epoch mean losses).
-    Raises FloatingPointError if the loss or, after the last step, the
-    weights go non-finite; numpy's overflow warnings are silenced, since that
-    error reports the divergence.
+    Raises FloatingPointError if the loss or, after the last step, the live
+    or EMA weights go non-finite; numpy's overflow warnings are silenced,
+    since that error reports the divergence.
     """
     if not dataset:
         raise ValueError("train: empty dataset")
@@ -433,74 +442,73 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
                 model.theta -= lr * (m / (1 - b1**done)) / (np.sqrt(v / (1 - b2**done)) + eps)
                 model.update_ema()
             history.append(acc / cfg.steps_per_epoch)
-    if not np.isfinite(model.theta).all():
+    if not (np.isfinite(model.theta).all() and np.isfinite(model.ema_theta).all()):
         raise FloatingPointError(f"training diverged at step {model.step}: non-finite weights")
     return model, history
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# checkpoints, little-endian: _HEAD, the layer sizes (uint32) and the embedding frequencies
+# (float64) each after a _COUNT, _TAIL, then the live and the EMA weights each a _BLOB_COUNT
+_HEAD = struct.Struct("<8sIddddI")  # magic, version, schedule, g(t) code 0: led by sigma_min
+_COUNT = struct.Struct("<I")
+_TAIL = struct.Struct("<dQ")  # EMA decay, step
+_BLOB_COUNT = struct.Struct("<Q")  # n, then n float32
+
 
 def save_checkpoint(model: ToyScoreNet, sched: SdeSchedule, path):
-    """Write magic, version, schedule, architecture, then float32 parameter
-    and EMA blobs."""
+    """Write the model and its schedule as a checkpoint, the weights in float32."""
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        # the code after the schedule is 0: g(t) is led by sigma_min (sde.diffusion_coeff)
-        fh.write(struct.pack("<ddddI", sched.gamma, sched.sigma_min, sched.sigma_max,
-                             sched.t_min, 0))
-        fh.write(struct.pack("<I", len(model.sizes)))
-        fh.write(struct.pack(f"<{len(model.sizes)}I", *model.sizes))
-        fh.write(struct.pack("<I", len(model.emb_freqs)))
-        fh.write(struct.pack(f"<{len(model.emb_freqs)}d", *model.emb_freqs))
-        fh.write(struct.pack("<dQ", model.ema_decay, model.step))
+        fh.write(_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(sched), 0))
+        for values, code in ((model.sizes, "I"), (model.emb_freqs, "d")):
+            fh.write(_COUNT.pack(len(values)) + struct.pack(f"<{len(values)}{code}", *values))
+        fh.write(_TAIL.pack(model.ema_decay, model.step))
         for vec in (model.theta, model.ema_theta):
-            blob = vec.astype("<f4")
-            fh.write(struct.pack("<Q", blob.size))
-            fh.write(blob.tobytes())
-
-
-def _read_exact(fh, n, path):
-    # a corrupt count must fail here, not allocate n bytes the file does not hold
-    buf = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
-    if len(buf) != n:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return buf
+            fh.write(_BLOB_COUNT.pack(vec.size) + vec.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as (model, schedule)."""
+    """(model, schedule) from a checkpoint; a malformed one is a ValueError naming it."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 8, path) != CHECKPOINT_MAGIC:
+        data = fh.read(len(CHECKPOINT_MAGIC))
+        if len(data) == len(CHECKPOINT_MAGIC) and data != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad magic bytes, not a checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        data += fh.read()
+    try:
+        _, version, *schedule, g_code = _HEAD.unpack_from(data)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        gamma, smin, smax, tmin, g_code = struct.unpack("<ddddI", _read_exact(fh, 36, path))
         if g_code != 0:
             raise ValueError(f"{path}: unknown diffusion-coefficient code {g_code}, expected 0")
-        try:
-            sched = SdeSchedule(gamma=gamma, sigma_min=smin, sigma_max=smax, t_min=tmin)
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad noise schedule: {exc}") from None
-        (n_sizes,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        sizes = struct.unpack(f"<{n_sizes}I", _read_exact(fh, 4 * n_sizes, path))
-        (n_freqs,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        freqs = struct.unpack(f"<{n_freqs}d", _read_exact(fh, 8 * n_freqs, path))
-        ema_decay, step = struct.unpack("<dQ", _read_exact(fh, 16, path))
-        model = ToyScoreNet(hidden=sizes[1:-1], emb_freqs=freqs, dtype=np.float32, sched=sched)
-        if model.sizes != tuple(sizes):
-            raise ValueError(f"{path}: inconsistent architecture descriptor {sizes}")
-        model.ema_decay = ema_decay
-        model.step = step
-        for vec in (model.theta, model.ema_theta):
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-            if count != model.n_params:
-                raise ValueError(f"{path}: parameter blob size {count} != {model.n_params}")
-            vec[:] = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    if not (np.isfinite(model.theta).all() and np.isfinite(model.ema_theta).all()):
+        arrays, off = [], _HEAD.size
+        for code in "Id":
+            fmt = struct.Struct(f"<{_COUNT.unpack_from(data, off)[0]}{code}")
+            arrays.append(fmt.unpack_from(data, off + _COUNT.size))
+            off += _COUNT.size + fmt.size
+        (sizes, freqs), (ema_decay, step) = arrays, _TAIL.unpack_from(data, off)
+    except struct.error:  # a count that asks for more bytes than the file holds
+        raise ValueError(f"{path}: truncated checkpoint") from None
+    try:
+        sched = SdeSchedule(*schedule)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad noise schedule: {exc}") from None
+    if sizes != _layer_sizes(sizes[1:-1], len(freqs)) or 0 in sizes:
+        raise ValueError(f"{path}: inconsistent architecture descriptor {sizes}")
+    if not 0.0 <= ema_decay <= 1.0:
+        raise ValueError(f"{path}: EMA decay {ema_decay} outside [0, 1]")
+    n = _n_weights(sizes)
+    blob, left = _BLOB_COUNT.size + 4 * n, len(data) - off - _TAIL.size
+    if left != 2 * blob:
+        raise ValueError(f"{path}: truncated checkpoint" if left < 2 * blob
+                         else f"{path}: trailing bytes after checkpoint payload")
+    starts = (len(data) - 2 * blob, len(data) - blob)
+    for (count,) in (_BLOB_COUNT.unpack_from(data, at) for at in starts):
+        if count != n:
+            raise ValueError(f"{path}: parameter blob size {count} != {n}")
+    weights = [np.frombuffer(data, "<f4", n, at + _BLOB_COUNT.size) for at in starts]
+    if not np.isfinite(weights).all():
         raise ValueError(f"{path}: non-finite parameters")
+    model = ToyScoreNet(hidden=sizes[1:-1], emb_freqs=freqs, dtype=np.float32, sched=sched)
+    model.theta[:], model.ema_theta[:] = weights
+    model.ema_decay, model.step = ema_decay, step
     return model, sched

@@ -17,6 +17,10 @@ import numpy as np
 
 _WINSUM_FLOOR = 1e-12
 
+# the widest mixture SNR, in dB either way: float64 resolves 2.2e-16 of a value, 313 dB in
+# amplitude, so past about 300 dB the weaker signal sinks below the stronger one's rounding
+MAX_SNR_DB = 300.0
+
 
 @dataclass
 class Waveform:
@@ -140,7 +144,8 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int = 0):
 
     Noise longer than clean is cropped at a seeded random offset; shorter
     noise is tiled then cropped.  Returns (mixture, scale) where
-    mixture = clean + scale * noise_segment.
+    mixture = clean + scale * noise_segment.  Raises ValueError when scale is
+    not finite and positive, as an snr_db far beyond +-MAX_SNR_DB makes it.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("mix_at_snr: sample rates differ")
@@ -156,7 +161,12 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int = 0):
     p_noise = float(np.mean(n**2))
     if p_clean <= 0 or p_noise <= 0:
         raise ValueError("mix_at_snr: zero-power input")
-    scale = math.sqrt(p_clean / p_noise) * 10.0 ** (-snr_db / 20.0)
+    try:
+        scale = math.sqrt(p_clean / p_noise) * 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise ValueError(f"mix_at_snr: {snr_db} dB gives the noise a gain of {scale}")
     return Waveform(clean.samples + scale * n, clean.sample_rate), scale
 
 

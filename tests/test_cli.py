@@ -570,6 +570,16 @@ def _huge_freq_count(blob):
     struct.pack_into("<I", blob, 52 + 4 * n_sizes, 0xFFFFFFFF)
 
 
+def _huge_hidden_width(blob):
+    # the first hidden width follows the input width: it asks for a net of about 60e9 weights
+    struct.pack_into("<I", blob, 56, 0xFFFFFFFF)
+
+
+def _nan_ema_decay(blob):
+    # ema_decay and step (16) come just before the first parameter count
+    struct.pack_into("<d", blob, _param_count_offset(blob) - 16, np.nan)
+
+
 def _inf_first_param(blob):
     # the first float32 parameter follows its blob's 8-byte count
     struct.pack_into("<f", blob, _param_count_offset(blob) + 8, np.inf)
@@ -598,6 +608,8 @@ MALFORMED_CASES = [
     # counts that ask for more bytes (16 GiB) than the file holds
     ("checkpoint size count", _edited_ckpt(_huge_size_count), "truncated checkpoint"),
     ("checkpoint frequency count", _edited_ckpt(_huge_freq_count), "truncated checkpoint"),
+    ("checkpoint hidden width", _edited_ckpt(_huge_hidden_width), "truncated checkpoint"),
+    ("checkpoint EMA decay", _edited_ckpt(_nan_ema_decay), "EMA decay nan outside [0, 1]"),
     ("checkpoint non-finite parameter", _edited_ckpt(_inf_first_param), "non-finite parameters"),
     # sigma_min follows magic (8), version (4) and gamma (8)
     ("checkpoint schedule", _edited_ckpt(lambda blob: struct.pack_into("<d", blob, 20, 1e-200)),
@@ -820,6 +832,9 @@ NOTHING_TO_DO_CASES = [
      "--snrs 0,inf --report {out} " + _FAST, "--snrs"),
     ("benchmark --snrs -inf", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
      "--snrs=-inf --report {out} " + _FAST, "--snrs"),
+    # finite, but 10 ** (7000 / 20) overflows the noise gain
+    ("benchmark --snrs -7000", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs=-7000 --report {out} " + _FAST, "--snrs"),
     # the report holds metrics against the reference, so without one it would go unwritten
     ("enhance --report without --clean", "enhance --input {noisy} --ckpt {ckpt} "
      "--output {out}.wav --report {out} " + _FAST, "--clean"),

@@ -1,6 +1,8 @@
 import re
+import struct
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +612,16 @@ def test_train_rejects_empty_dataset():
               SCHED)
 
 
+def test_train_refuses_non_finite_ema_weights():
+    net = ToyScoreNet(hidden=(4,), seed=4, sched=SCHED)
+    net.ema_theta[0] = np.inf  # the live weights stay finite
+    rng = np.random.default_rng(0)
+    prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
+    ds = [prior.sample((4, 12), rng) for _ in range(2)]
+    with pytest.raises(FloatingPointError, match="non-finite weights"):
+        train(net, ds, TrainConfig(steps_per_epoch=1, batch_size=2, patch_frames=8), SCHED)
+
+
 def test_train_smoke():
     rng = np.random.default_rng(6)
     prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
@@ -709,3 +721,33 @@ def test_checkpoint_rejects_corruption(tmp_path):
     padded.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(padded)
+
+    # a file shorter than the magic is a cut checkpoint; a longer one is tested for it
+    for content, message in ((blob[:5], "truncated checkpoint"),
+                             (bytes(range(100)), "bad magic bytes")):
+        other = tmp_path / "other.bin"
+        other.write_bytes(content)
+        with pytest.raises(ValueError, match=f"{re.escape(str(other))}: {message}"):
+            load_checkpoint(other)
+
+    # a hidden width of 0 breaks the architecture rule before a net is built
+    no_width = tmp_path / "width0.ckpt"
+    no_width.write_bytes(blob[:56] + bytes(4) + blob[60:])
+    with pytest.raises(ValueError, match="inconsistent architecture descriptor"):
+        load_checkpoint(no_width)
+
+    # magic, version, schedule (48), then the sizes and the frequencies after their counts
+    at = 48 + 4 + 4 * len(net.sizes) + 4 + 8 * len(net.emb_freqs)
+    assert struct.unpack_from("<d", blob, at) == (net.ema_decay,)
+    for decay in (2.0, -0.5, np.nan):
+        bad_decay = tmp_path / "decay.ckpt"
+        bad_decay.write_bytes(blob[:at] + struct.pack("<d", decay) + blob[at + 8 :])
+        with pytest.raises(ValueError, match=f"EMA decay {decay} outside"):
+            load_checkpoint(bad_decay)
+
+
+def test_checkpoint_round_trip_reproduces_the_benchmark_prior(tmp_path):
+    prior = Path(__file__).resolve().parents[1] / "benchmarks" / "prior.ckpt"
+    out = tmp_path / "prior.ckpt"
+    save_checkpoint(*load_checkpoint(prior), out)
+    assert out.read_bytes() == prior.read_bytes()

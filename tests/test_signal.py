@@ -144,6 +144,18 @@ def test_mix_at_snr_rejects_silence():
         signal.mix_at_snr(clean, Waveform(np.zeros(100), 8000), 0.0)
 
 
+def test_mix_at_snr_rejects_a_gain_that_is_not_finite_and_positive():
+    clean = _chirpish(100)
+    noise = _chirpish(100, seed=2)
+    # 10 ** (7000 / 20) overflows, 10 ** (-7000 / 20) underflows to 0
+    for snr in (-7000.0, 7000.0, np.nan):
+        with pytest.raises(ValueError, match="gain"):
+            signal.mix_at_snr(clean, noise, snr)
+    for snr in (-signal.MAX_SNR_DB, signal.MAX_SNR_DB):
+        _, scale = signal.mix_at_snr(clean, noise, snr)
+        assert 0 < scale < np.inf
+
+
 def test_wav_roundtrip_float32(tmp_path):
     raw = _chirpish(2000)
     w = Waveform(raw.samples / np.max(np.abs(raw.samples)), raw.sample_rate)
