@@ -119,7 +119,8 @@ def enhance_spectrogram(
 
     An all-zero mixture holds neither speech nor noise to fit: the estimate
     is all zeros, the noise factors sit at their floor and no iteration runs
-    (the trace is empty).
+    (the trace is empty).  A nonzero mixture whose power underflows to zero,
+    as a tiny amplitude compression scale makes it, is a FloatingPointError.
     """
     f_bins, t_frames = x.shape
     if not np.any(x):
@@ -127,19 +128,23 @@ def enhance_spectrogram(
         return EnhancementResult(s_hat=np.zeros(x.shape, dtype=np.complex128), nmf=floor, trace=[])
     scfg = SamplerConfig(n_steps=cfg.reverse_steps)
     power = np.abs(x) ** 2
-    params = init_nmf(f_bins, t_frames, cfg.nmf_rank, float(np.mean(power)), seed=cfg.seed)
+    mean_power = float(np.mean(power))
+    if mean_power == 0.0:
+        raise FloatingPointError("the mixture's compressed power underflows to zero: "
+                                 "the amplitude compression scales it below float64 range")
+    params = init_nmf(f_bins, t_frames, cfg.nmf_rank, mean_power, seed=cfg.seed)
     # before any signal estimate exists the mixture itself is the best noise
     # bound, so fit the factors to its power (an M-step at s_hat = 0); the first
     # E-step then sees the mixture's spectral structure instead of flat noise
     params = m_step(power, params, cfg.nmf_inner_updates)
-    chain_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.em_iters * cfg.batch)
+    # spawn counts on across calls: iteration k draws the children k * b to (k + 1) * b - 1
+    root = np.random.SeedSequence(cfg.seed)
     trace = []
-    for k in range(cfg.em_iters):
+    for _ in range(cfg.em_iters):
         # the last power grid is freed before the chains run: held through
         # them, it raised the peak RSS of a 256 x 126 enhancement by 2 MB
         del power
-        seeds = chain_seeds[k * cfg.batch : (k + 1) * cfg.batch]
-        chains = _run_chains(x, model, sched, scfg, params.variance(), seeds)
+        chains = _run_chains(x, model, sched, scfg, params.variance(), root.spawn(cfg.batch))
         s_hat = np.mean(chains, axis=0)
         power = np.abs(x - s_hat) ** 2
         params = m_step(power, params, cfg.nmf_inner_updates)

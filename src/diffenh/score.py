@@ -24,11 +24,10 @@ CHECKPOINT_VERSION = 1
 
 DEFAULT_EMB_FREQS = (0.5, 1.0, 2.0, 4.0)
 
-# grid points pushed through the net at a time, by ToyScoreNet.evaluate and
-# by the training pass dsm_loss_and_grad alike, both in the net's dtype; each
-# block's activations, and in training its deltas (EVAL_BLOCK x width, 256 KB
-# at width 32 in float32 and 512 KB in float64), stay in the per-core L2
-# cache instead of streaming full-grid layers through memory
+# grid points pushed through the net at a time (_blocks), in the net's dtype;
+# each block's activations, and in training its deltas (EVAL_BLOCK x width,
+# 256 KB at width 32 in float32 and 512 KB in float64), stay in the per-core
+# L2 cache instead of streaming full-grid layers through memory
 EVAL_BLOCK = 2048
 
 # rows of a bias tile: added down a block as a (rows / BIAS_ROWS, BIAS_ROWS,
@@ -117,6 +116,37 @@ def _add_tiled(h: np.ndarray, tile: np.ndarray) -> None:
     h[whole:] += tile[: len(h) - whole]
 
 
+def _blocks(params, bias, n, dt):
+    """The one walk of the net over its points: len(bias) items of n points
+    each, item k in rows k * n to (k + 1) * n - 1 with first-layer time bias
+    bias[k].
+
+    A block holds EVAL_BLOCK // n whole items (the last block the rest), or a
+    chunk of one item of more than EVAL_BLOCK points.  Each block yields (i,
+    j, lo, hi, biases, outs): items i to j - 1 and rows lo to hi - 1, then
+    _forward's bias tiles in dt and its (hi - lo, width) buffers, which every
+    block reuses.  The hidden biases are tiled once per walk and the time
+    biases once per block of whole items; one item's time bias, chunked or
+    not, is a tile of at most BIAS_ROWS rows.
+    """
+    if n == 0:
+        return
+    items = len(bias)
+    per_block = min(items, max(1, EVAL_BLOCK // n))
+    rows = min(per_block * n, EVAL_BLOCK)
+    tile = min(rows, BIAS_ROWS)
+    outs = [np.empty((rows, W.shape[1]), dt) for W, _ in params]
+    time_rows = np.empty((rows if per_block > 1 else tile, bias.shape[1]), dt)
+    biases = [time_rows] + [np.tile(b, (tile, 1)) for _, b in params[1:]]
+    for i in range(0, items, per_block):
+        j = min(i + per_block, items)
+        filled = time_rows[: min((j - i) * n, len(time_rows))]
+        filled.reshape(j - i, -1, filled.shape[1])[...] = bias[i:j, None, :]
+        for lo in range(i * n, j * n, rows):
+            hi = min(lo + rows, j * n)
+            yield i, j, lo, hi, biases, [a[: hi - lo] for a in outs]
+
+
 def _state_rows(s: np.ndarray) -> np.ndarray:
     """s as (n, 2) float64 (re, im) rows in C order; a view of s itself when
     it is already a C-contiguous complex128 array."""
@@ -138,8 +168,7 @@ class ToyScoreNet:
     per distinct t as a first-layer bias, _time_features(t) @ W1[2:] + b1
     (FiLM-style conditioning), instead of once per grid point.  evaluate()
     (EMA weights, one t) and dsm_loss_and_grad() (live weights, one t per
-    item) share this forward pass, and both walk their points in blocks of
-    at most EVAL_BLOCK so the activations stay in cache.
+    item) both run this forward pass over the blocks of _blocks.
 
     dtype is the compute dtype of evaluate and of the training pass: a loaded
     checkpoint or a default net (float32) runs its weights, time bias, input
@@ -192,46 +221,34 @@ class ToyScoreNet:
         return tf, tf @ W[2:] + b
 
     @staticmethod
-    def _forward(params, state, biases, outs=None):
-        """Network output for (n, 2) (re, im) rows in the dtype of params.
+    def _forward(params, state, biases, outs):
+        """Network output for (n, 2) (re, im) rows in the dtype of params,
+        computed into outs, one (n, width) array of that dtype per layer.
 
         biases holds one tile per layer in that dtype, added down the rows
         after its product (_add_tiled): the first layer's time bias of each
-        row's item, then each later layer's b.  Callers tile them once per
-        call or block, since adding a tile is cheaper than broadcasting one
-        row over the block on every pass.  outs, if given, holds one (n,
-        width) array of that dtype per layer to compute into.  Returns the
-        output and the activations [state, h1, ..., output] for backprop.
+        row's item, then each later layer's b; adding a tile is cheaper than
+        broadcasting one row over the rows.  Returns the output and the
+        activations [state, h1, ..., output] for backprop.
         """
-        acts = [state]
         h = state
-        last = len(params) - 1
-        for i, ((W, _), bias) in enumerate(zip(params, biases)):
-            h = np.matmul(h, W[:2] if i == 0 else W, out=None if outs is None else outs[i])
+        for i, ((W, _), bias, out) in enumerate(zip(params, biases, outs)):
+            h = np.matmul(h, W[:2] if i == 0 else W, out=out)
             _add_tiled(h, bias)
-            if i < last:
+            if i < len(params) - 1:
                 np.tanh(h, out=h)
-            acts.append(h)
-        return h, acts
+        return h, [state, *outs]
 
     def evaluate(self, s_t: np.ndarray, t: float) -> np.ndarray:
-        dt = self.dtype
         params = self.ema_params
-        bias = self._time_bias(params, float(t))[1].astype(dt, copy=False)
+        bias = self._time_bias(params, float(t))[1]
         m = kernel_moments(float(t), self.sched).m
         state = _state_rows(s_t)
-        n = len(state)
-        score = np.empty(n, dtype=np.complex128)
-        rows = score.view(np.float64).reshape(n, 2)
-        block = min(n, EVAL_BLOCK)
-        outs = [np.empty((block, W.shape[1]), dt) for W, _ in params]
-        reps = (min(block, BIAS_ROWS), 1)
-        biases = [np.tile(bias, reps)] + [np.tile(b, reps) for _, b in params[1:]]
-        for lo in range(0, n, EVAL_BLOCK):
-            hi = min(lo + EVAL_BLOCK, n)
+        score = np.empty(len(state), dtype=np.complex128)
+        rows = score.view(np.float64).reshape(-1, 2)
+        for _, _, lo, hi, biases, outs in _blocks(params, bias, len(state), self.dtype):
             x = state[lo:hi]
-            u, _ = self._forward(params, x.astype(dt, copy=False), biases,
-                                 [a[: hi - lo] for a in outs])
+            u, _ = self._forward(params, x.astype(self.dtype, copy=False), biases, outs)
             # the residual map in float64: float32 rounding of u is not divided by m
             np.subtract(u, x, out=rows[lo:hi])
             rows[lo:hi] /= m
@@ -293,21 +310,15 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch):
     float64 vector laid out like model.theta.  The perturbation and the
     residual map both follow model.sched.
 
-    Walks the batch in blocks of at most EVAL_BLOCK points, as evaluate walks
-    a grid, so the activations and deltas of a block stay in cache: a block
-    holds EVAL_BLOCK // n whole items of n points each (the last block the
-    rest), or, when an item has more than EVAL_BLOCK points, a chunk of one
-    item.  Residuals and deltas are computed in place in per-layer buffers;
-    the weight, bias and per-item time-row gradients are summed over blocks.
-    The hidden biases are tiled once per call, and the items' time biases to
-    a block's rows once per block (once per item when chunking).
-
-    Each block computes in model.dtype, as evaluate does: the weights, time
-    bias, input rows, activations, back-propagated deltas and the block's own
-    gradient products and column sums.  The perturbed state, the target, the
-    residual map (u - s) / m(t) and the loss are float64, and the block
-    products are added in place into the float64 grad.  A float64 net
-    computes everything in float64.
+    Walks the batch's items in the blocks of _blocks, forming each block's
+    perturbed state and target there, so no batch-sized copy of either is
+    ever built.  Each block computes in model.dtype, as evaluate does: the
+    weights, time bias, input rows, activations, back-propagated deltas and
+    the block's own gradient products and column sums.  The perturbed state,
+    the target, the residual map (u - s) / m(t) and the loss are float64, and
+    the block products are added in place into the float64 grad; the time
+    rows' gradient is summed per item and mapped through the time features
+    once at the end.  A float64 net computes everything in float64.
     """
     delta, sig, m = _batch_coeffs(batch, model.sched)
     # numpy divides a complex array by a real one as a product with the
@@ -319,14 +330,8 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch):
     s0 = _state_rows(batch.s0)
     zeta = _state_rows(batch.zeta)
     tf, bias = model._time_bias(params, batch.t)
-    bias = bias.astype(dt, copy=False)
-    n = len(s0) // b
-    per_block = min(b, max(1, EVAL_BLOCK // n))  # whole items per block; 1 when chunking
-    rows = min(per_block * n, EVAL_BLOCK)
-    acts = [np.empty((rows, W.shape[1]), dt) for W, _ in params]
-    # the first layer's time bias of each row of a block, then the hidden biases
-    biases = [np.empty((rows, bias.shape[1]), dt)]
-    biases += [np.tile(b, (min(rows, BIAS_ROWS), 1)) for _, b in params[1:]]
+    # a block's residual and deltas, in place; no block has more rows than this
+    rows = min(len(s0), EVAL_BLOCK)
     resid = np.empty((rows, 2))
     deltas = [None] + [np.empty((rows, W.shape[0]), dt) for W, _ in params[1:]]
     grad = np.zeros(model.n_params)
@@ -334,43 +339,35 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch):
     state_grad = grads[0][0][:2]
     per_item = np.zeros(bias.shape)
     loss = 0.0
-    for i in range(0, b, per_block):
-        j = min(i + per_block, b)
+    for i, j, lo, hi, biases, outs in _blocks(params, bias, len(s0) // b, dt):
         scale = m[i:j, None, None]
-        # items i..j fill the block's rows in order; a chunked item fills them all
-        time_rows = biases[0][: min((j - i) * n, rows)]
-        time_rows.reshape(j - i, -1, time_rows.shape[1])[...] = bias[i:j, None, :]
-        for lo in range(i * n, j * n, rows):
-            hi = min(lo + rows, j * n)
-            # this block's perturbed state and target, item by item, so no
-            # batch-sized copy of either is ever built
-            z = zeta[lo:hi].reshape(j - i, -1, 2)
-            x = delta[i:j, None, None] * s0[lo:hi].reshape(z.shape) + sig[i:j, None, None] * z
-            x, target = x.reshape(-1, 2), (neg_inv_sig[i:j, None, None] * z).reshape(-1, 2)
-            x_in = x.astype(dt, copy=False)
-            u, blk = model._forward(params, x_in, biases, [buf[: hi - lo] for buf in acts])
-            # residual (u - s) / m - target, then its delta 2 * resid / m / b
-            r = np.subtract(u, x, out=resid[: hi - lo])
-            r_items = r.reshape(j - i, -1, 2)
-            r_items /= scale
-            r -= target
-            loss += float(np.vdot(r, r))
-            r *= 2.0
-            r_items /= scale
-            r /= b
-            d = r.astype(dt, copy=False)
-            for k in range(len(params) - 1, 0, -1):
-                a, (gW, gb) = blk[k], grads[k]
-                gW += a.T @ d
-                gb += d.sum(axis=0)
-                d = np.matmul(d, params[k][0].T, out=deltas[k][: hi - lo])
-                # d *= 1 - a**2, through a, which no later step reads
-                np.multiply(a, a, out=a)
-                np.subtract(1.0, a, out=a)
-                d *= a
-            # first layer: the state rows here, the time rows once at the end
-            state_grad += x_in.T @ d
-            per_item[i:j] += d.reshape(j - i, -1, d.shape[1]).sum(axis=1)
+        z = zeta[lo:hi].reshape(j - i, -1, 2)
+        x = delta[i:j, None, None] * s0[lo:hi].reshape(z.shape) + sig[i:j, None, None] * z
+        x, target = x.reshape(-1, 2), (neg_inv_sig[i:j, None, None] * z).reshape(-1, 2)
+        x_in = x.astype(dt, copy=False)
+        u, acts = model._forward(params, x_in, biases, outs)
+        # residual (u - s) / m - target, then its delta 2 * resid / m / b
+        r = np.subtract(u, x, out=resid[: hi - lo])
+        r_items = r.reshape(j - i, -1, 2)
+        r_items /= scale
+        r -= target
+        loss += float(np.vdot(r, r))
+        r *= 2.0
+        r_items /= scale
+        r /= b
+        d = r.astype(dt, copy=False)
+        for k in range(len(params) - 1, 0, -1):
+            a, (gW, gb) = acts[k], grads[k]
+            gW += a.T @ d
+            gb += d.sum(axis=0)
+            d = np.matmul(d, params[k][0].T, out=deltas[k][: hi - lo])
+            # d *= 1 - a**2, through a, which no later step reads
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            d *= a
+        # first layer: the state rows here, the time rows once at the end
+        state_grad += x_in.T @ d
+        per_item[i:j] += d.reshape(j - i, -1, d.shape[1]).sum(axis=1)
     gW, gb = grads[0]
     gW[2:] = tf.T @ per_item
     gb[...] = per_item.sum(axis=0)

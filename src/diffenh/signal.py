@@ -117,8 +117,9 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int, sample_rate: int = 16
     """Decompression then squared-window overlap-add synthesis.
 
     out_len is the original sample count; the window_len//2 analysis padding
-    is stripped.  Raises if the spectrogram does not cover out_len samples or
-    the bin count does not match cfg.
+    is stripped.  Raises ValueError if the spectrogram does not cover out_len
+    samples or the bin count does not match cfg, and FloatingPointError if
+    undoing the compression overflows, as a tiny alpha or beta makes it.
     """
     if spec.ndim != 2 or spec.shape[0] != cfg.f_bins:
         raise ValueError(f"istft: expected {cfg.f_bins} bins, got shape {spec.shape}")
@@ -128,7 +129,12 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int, sample_rate: int = 16
     if out_len + pad > total:
         raise ValueError(f"istft: {frames} frames cover {total} samples, need {out_len + pad}")
     win = _window(cfg)
-    raw = np.fft.irfft(decompress(spec, cfg).T, n=cfg.window_len, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.fft.irfft(decompress(spec, cfg).T, n=cfg.window_len, axis=1)
+    if not np.isfinite(raw).all():
+        raise FloatingPointError(
+            f"istft: undoing the amplitude compression (alpha {cfg.compress_alpha:g}, "
+            f"beta {cfg.compress_beta:g}) overflows to non-finite samples")
     out = np.zeros(total)
     norm = np.zeros(total)
     for m in range(frames):

@@ -732,6 +732,32 @@ def test_training_divergence_is_numeric_error(steps, cause, tmp_path, capsys):
     assert not (tmp_path / "t.bin").exists()
 
 
+# (id, argv); {out} is the one file the command may write.  A tiny compression
+# scale underflows the mixture's compressed power to zero, and a tiny alpha or
+# beta overflows the decompression of a spectrogram to non-finite samples
+COMPRESSION_RANGE_CASES = [
+    ("enhance --beta 1e-200", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
+     "--beta 1e-200 " + _FAST),
+    ("enhance --alpha 1e-300", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
+     "--alpha 1e-300 " + _FAST),
+    ("sample --beta 1e-300", "sample --ckpt {ckpt} --output {out} --beta 1e-300 " + _FAST_SAMPLE),
+    ("benchmark --beta 1e-300", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs 0 --report {out} --beta 1e-300 " + _FAST),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in COMPRESSION_RANGE_CASES],
+                         ids=[c[0] for c in COMPRESSION_RANGE_CASES])
+def test_compression_beyond_float_range_is_numeric_error(argv, tiny_ckpt, tmp_path, capsys):
+    noisy_path, _ = _write_noisy(tmp_path)
+    out_path = tmp_path / "out"
+    paths = {"noisy": noisy_path, "ckpt": tiny_ckpt, "out": out_path}
+    assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_NUMERIC
+    (line,) = capsys.readouterr().err.splitlines()  # no traceback and no numpy warnings
+    assert line.startswith("diffenh: error: ") and "compression" in line
+    assert not out_path.exists()
+
+
 def test_enhance_silent_input_gives_silence(tiny_ckpt, tmp_path, capsys):
     silent = tmp_path / "silent.wav"
     signal.save_wav(silent, signal.Waveform(np.zeros(2000), 16000))
