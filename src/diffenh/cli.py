@@ -46,7 +46,7 @@ class _IoError(OSError):
 class _Parser(argparse.ArgumentParser):
     # flags match exactly, so a new flag cannot change what an abbreviation meant
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
+        super().__init__(*args, allow_abbrev=False, formatter_class=_fmt, **kwargs)
 
     # contract: usage errors exit 1, not argparse's default 2
     def error(self, message):
@@ -104,12 +104,11 @@ def _hidden_widths(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> _Parser:
-    root = _Parser(prog="diffenh", formatter_class=_fmt,
+    root = _Parser(prog="diffenh",
                    description="Speech enhancement with a diffusion prior and an NMF noise model.")
     sub = root.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    p = sub.add_parser("train", formatter_class=_fmt,
-                       help="train the score network",
+    p = sub.add_parser("train", help="train the score network",
                        description="Train the toy score network on WAV data or a synthetic prior.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--data", metavar="DIR", help="directory of clean 16 kHz WAV files")
@@ -143,8 +142,7 @@ def build_parser() -> _Parser:
     _add_stft_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("enhance", formatter_class=_fmt,
-                       help="enhance a noisy WAV file",
+    p = sub.add_parser("enhance", help="enhance a noisy WAV file",
                        description="Enhance a noisy utterance with a trained checkpoint.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--input", required=True, help="noisy WAV file")
@@ -157,13 +155,13 @@ def build_parser() -> _Parser:
     _add_stft_flags(p)
     p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("sample", formatter_class=_fmt,
-                       help="sample the clean-speech prior unconditionally",
+    p = sub.add_parser("sample", help="sample the clean-speech prior unconditionally",
                        description="Draw unconditional prior samples from a trained checkpoint.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
     p.add_argument("--output", help="WAV path for the synthesized sample")
-    p.add_argument("--dump-spec", metavar="FILE", help="write the raw spectrogram grid dump")
+    p.add_argument("--dump-spec", metavar="FILE",
+                   help="write the sampled grid as a NumPy .npy file")
     p.add_argument("--frames", type=_at_least(2), default=128, help="spectrogram frames")
     p.add_argument("--reverse-steps", dest="n_steps", metavar="REVERSE_STEPS", type=int,
                    default=SamplerConfig.n_steps, help="reverse sampling steps (N)")
@@ -171,8 +169,7 @@ def build_parser() -> _Parser:
     _add_stft_flags(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("benchmark", formatter_class=_fmt,
-                       help="mix, enhance, and report SI-SDR over a corpus",
+    p = sub.add_parser("benchmark", help="mix, enhance, and report SI-SDR over a corpus",
                        description="Benchmark enhancement quality over mixtures at several SNRs.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
@@ -327,11 +324,8 @@ def cmd_train(args) -> int:
     else:
         model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed, sched=sched)
     if args.synthetic:
-        prior = score.AnalyticGaussianPrior(
-            mean=np.zeros((args.bins, args.frames)), var0=1.0, sched=sched
-        )
         rng = np.random.default_rng(args.seed)
-        dataset = [prior.sample((args.bins, args.frames), rng) for _ in range(args.items)]
+        dataset = [sde.complex_randn((args.bins, args.frames), rng) for _ in range(args.items)]
     else:
         dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
     frames = min(d.shape[1] for d in dataset)
@@ -379,7 +373,9 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     spec = unconditional_sample((stft_cfg.f_bins, args.frames), model, sched, scfg, rng)
     if args.dump_spec:
-        signal.dump_spectrogram(args.dump_spec, spec)
+        # a path would get .npy appended; a file object is written as named
+        with open(args.dump_spec, "wb") as fh:
+            np.save(fh, spec)
         print(f"wrote {args.dump_spec}")
     if args.output:
         out_len = (args.frames - 1) * stft_cfg.hop

@@ -120,18 +120,25 @@ def enhance_spectrogram(
     An all-zero mixture holds neither speech nor noise to fit: the estimate
     is all zeros, the noise factors sit at their floor and no iteration runs
     (the trace is empty).  A nonzero mixture whose power underflows to zero,
-    as a tiny amplitude compression scale makes it, is a FloatingPointError.
+    as a tiny amplitude compression scale makes it, or whose squared power
+    overflows, as a huge one makes it, is a FloatingPointError.
     """
     f_bins, t_frames = x.shape
     if not np.any(x):
         floor = NmfParams(W=np.zeros((f_bins, cfg.nmf_rank)), H=np.zeros((cfg.nmf_rank, t_frames)))
         return EnhancementResult(s_hat=np.zeros(x.shape, dtype=np.complex128), nmf=floor, trace=[])
     scfg = SamplerConfig(n_steps=cfg.reverse_steps)
-    power = np.abs(x) ** 2
-    mean_power = float(np.mean(power))
+    with np.errstate(over="ignore"):
+        power = np.abs(x) ** 2
+        mean_power = float(np.mean(power))
     if mean_power == 0.0:
         raise FloatingPointError("the mixture's compressed power underflows to zero: "
                                  "the amplitude compression scales it below float64 range")
+    peak = float(np.max(power))
+    # the M-step squares noise variances of the power's size
+    if not np.isfinite(peak * peak):
+        raise FloatingPointError("the mixture's compressed power overflows: the amplitude "
+                                 "compression scales its square beyond float64 range")
     params = init_nmf(f_bins, t_frames, cfg.nmf_rank, mean_power, seed=cfg.seed)
     # before any signal estimate exists the mixture itself is the best noise
     # bound, so fit the factors to its power (an M-step at s_hat = 0); the first
@@ -179,10 +186,18 @@ def synth_clean_waveform(
     Synthesis projects the sampled spectrogram onto its overlap-add
     consistent subspace, shrinking per-entry variance below the unit scale
     the prior was trained at; the waveform is rescaled so that its analysis
-    has unit mean power again and matches the prior.
+    has unit mean power again and matches the prior.  A sample whose
+    decompressed waveform has no power left, as a huge compression scale
+    makes it, is a FloatingPointError: there is no level to rescale or mix at.
     """
     out_len = (frames - 1) * stft_cfg.hop
     spec = unconditional_sample((stft_cfg.f_bins, frames), model, sched, sampler_cfg, rng)
     raw = istft(spec, stft_cfg, out_len)
+    # analysis undoes the decompression, so a waveform with power has a var in range
+    if not np.mean(raw.samples ** 2) > 0.0:
+        raise FloatingPointError(
+            f"the prior sample's power underflows: undoing the amplitude compression "
+            f"(alpha {stft_cfg.compress_alpha:g}, beta {stft_cfg.compress_beta:g}) "
+            "scales it below float64 range")
     var = float(np.mean(np.abs(stft(raw, stft_cfg)) ** 2))
     return Waveform(raw.samples * var ** (-0.5 / stft_cfg.compress_alpha), raw.sample_rate)

@@ -263,24 +263,3 @@ def save_wav(path, w: Waveform) -> int:
         fh.write(data.tobytes())
     return int(np.count_nonzero(np.abs(w.samples) > 1.0))
 
-
-def dump_spectrogram(path, spec: np.ndarray):
-    """Debug dump: u32-LE header (F, T), then little-endian complex128
-    (interleaved re, im float64), row-major."""
-    f, t = spec.shape
-    with open(path, "wb") as fh:
-        fh.write(np.asarray([f, t], dtype="<u4").tobytes())
-        fh.write(np.asarray(spec, dtype="<c16").tobytes())
-
-
-def load_spectrogram(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise ValueError(f"{path}: truncated grid header")
-        f, t = (int(v) for v in np.frombuffer(head, dtype="<u4"))
-        body = fh.read()
-    if len(body) != 16 * f * t:
-        raise ValueError(f"{path}: expected {16 * f * t} bytes of {f}x{t} complex128 values "
-                         f"after the header, found {len(body)}")
-    return np.frombuffer(body, dtype="<c16").reshape(f, t).astype(np.complex128)

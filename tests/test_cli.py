@@ -322,8 +322,11 @@ def test_enhance_takes_its_schedule_from_the_checkpoint(tmp_path, capsys):
 
 
 def test_sample_writes_wav_and_dump(tiny_ckpt, tmp_path, capsys):
+    from diffenh import score
+    from diffenh.sampler import SamplerConfig, unconditional_sample
+
     wav_path = tmp_path / "sample.wav"
-    dump_path = tmp_path / "sample.spec"
+    dump_path = tmp_path / "sample.npy"
     rc = cli.main(
         [
             "sample", "--ckpt", str(tiny_ckpt), "--output", str(wav_path),
@@ -332,8 +335,12 @@ def test_sample_writes_wav_and_dump(tiny_ckpt, tmp_path, capsys):
         ]
     )
     assert rc == cli.EXIT_OK
-    spec = signal.load_spectrogram(dump_path)
-    assert spec.shape == (33, 8)
+    # the dump is the sampled grid itself, at the default --seed 0
+    model, sched = score.load_checkpoint(tiny_ckpt)
+    expected = unconditional_sample((33, 8), model, sched, SamplerConfig(n_steps=4),
+                                     np.random.default_rng(0))
+    spec = np.load(dump_path)
+    assert spec.dtype == np.complex128 and spec.tobytes() == expected.tobytes()
     assert len(signal.load_wav(wav_path)) == 7 * 16
     capsys.readouterr()
 
@@ -354,7 +361,7 @@ def test_config_file_merge_explicit_flags_win(tiny_ckpt, tmp_path, capsys):
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "# seed=9" in out  # explicit flag beats the config value
-    assert signal.load_spectrogram(dump).shape == (33, 8)
+    assert np.load(dump).shape == (33, 8)
 
 
 def test_config_value_may_start_with_a_dash(tmp_path):
@@ -734,7 +741,9 @@ def test_training_divergence_is_numeric_error(steps, cause, tmp_path, capsys):
 
 # (id, argv); {out} is the one file the command may write.  A tiny compression
 # scale underflows the mixture's compressed power to zero, and a tiny alpha or
-# beta overflows the decompression of a spectrogram to non-finite samples
+# beta overflows the decompression of a spectrogram to non-finite samples.  A
+# huge beta overflows the square of the mixture's compressed power, or
+# underflows the decompressed prior sample that benchmark mixes
 COMPRESSION_RANGE_CASES = [
     ("enhance --beta 1e-200", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
      "--beta 1e-200 " + _FAST),
@@ -743,6 +752,14 @@ COMPRESSION_RANGE_CASES = [
     ("sample --beta 1e-300", "sample --ckpt {ckpt} --output {out} --beta 1e-300 " + _FAST_SAMPLE),
     ("benchmark --beta 1e-300", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
      "--snrs 0 --report {out} --beta 1e-300 " + _FAST),
+    ("enhance --beta 1e300", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
+     "--beta 1e300 " + _FAST),
+    ("enhance --beta 1e100", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
+     "--beta 1e100 " + _FAST),
+    ("benchmark --beta 1e300", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs 0 --report {out} --beta 1e300 " + _FAST),
+    ("benchmark --beta 1e160", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
+     "--snrs 0 --report {out} --beta 1e160 " + _FAST),
 ]
 
 

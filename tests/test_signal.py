@@ -314,29 +314,3 @@ def test_load_wav_rejects_naming_the_path(case, tmp_path):
         signal.load_wav(path)
     assert str(excinfo.value).startswith(f"{path}: ")
     assert reason in str(excinfo.value)
-
-
-def test_spectrogram_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    spec = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-    path = tmp_path / "grid.bin"
-    signal.dump_spectrogram(path, spec)
-    assert np.array_equal(signal.load_spectrogram(path), spec)
-
-
-def test_spectrogram_load_rejects_truncation(tmp_path):
-    spec = np.ones((3, 4), complex)
-    path = tmp_path / "grid.bin"
-    signal.dump_spectrogram(path, spec)
-    blob = path.read_bytes()
-    bad = tmp_path / "cut.bin"
-    # a whole float64 or a part of one missing: either way the error names the file
-    for cut in (8, 3):
-        bad.write_bytes(blob[:-cut])
-        with pytest.raises(ValueError, match="expected") as excinfo:
-            signal.load_spectrogram(bad)
-        assert str(bad) in str(excinfo.value)
-    tiny = tmp_path / "tiny.bin"
-    tiny.write_bytes(blob[:4])
-    with pytest.raises(ValueError, match="header"):
-        signal.load_spectrogram(tiny)
