@@ -7,10 +7,11 @@ A --config file of key=value lines is merged under the flags (explicit flags
 win).  Randomized commands print their seed in the report header so every
 run is reproducible.
 
-Input is checked in one order: flags (argparse types, cross-flag rules) and
-configs (their dataclasses) before any file is read, then what depends on the
-files read (--nmf-rank, --clean) before any sampling, enhancing, training or
-writing.  So a usage error (exit 1) costs no work and writes nothing.
+Input is checked in one order: flags (argparse types and corpus groups,
+cross-flag rules) and configs (their dataclasses) before any file is read,
+then what depends on the files read (--nmf-rank, --clean) before any
+sampling, enhancing, training or writing.  So a usage error (exit 1) costs
+no work and writes nothing.
 """
 
 from __future__ import annotations
@@ -111,9 +112,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the score network",
                        description="Train the toy score network on WAV data or a synthetic prior.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
-    p.add_argument("--data", metavar="DIR", help="directory of clean 16 kHz WAV files")
-    p.add_argument("--synthetic", choices=["gaussian"],
-                   help="train on draws from the built-in unit Gaussian prior instead of WAV data")
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--data", metavar="DIR", help="directory of clean 16 kHz WAV files")
+    corpus.add_argument(
+        "--synthetic", choices=["gaussian"],
+        help="train on draws from the built-in unit Gaussian prior instead of WAV data")
     p.add_argument("--items", type=_at_least(1), default=64, help="synthetic dataset size")
     p.add_argument("--bins", type=_at_least(1), default=16, help="synthetic spectrogram bins")
     p.add_argument("--frames", type=_at_least(1), default=256, help="synthetic spectrogram frames")
@@ -128,7 +131,7 @@ def build_parser() -> _Parser:
                    help="learning-rate schedule")
     p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int, default=T.batch_size,
                    help="training batch size")
-    p.add_argument("--epochs", type=int, default=10, help="training epochs")
+    p.add_argument("--epochs", type=int, default=T.epochs, help="training epochs")
     p.add_argument("--steps-per-epoch", type=int, default=T.steps_per_epoch,
                    help="optimizer steps per epoch")
     p.add_argument("--patch-frames", type=int, default=T.patch_frames,
@@ -173,10 +176,12 @@ def build_parser() -> _Parser:
                        description="Benchmark enhancement quality over mixtures at several SNRs.")
     p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
-    p.add_argument("--clean-dir", help="directory of clean WAV files")
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--clean-dir", help="directory of clean WAV files")
+    corpus.add_argument(
+        "--synthetic", action="store_true",
+        help="generate clean utterances from the checkpoint prior and structured noise")
     p.add_argument("--noise-dir", help="directory of noise WAV files, paired by sort order")
-    p.add_argument("--synthetic", action="store_true",
-                   help="generate clean utterances from the checkpoint prior and structured noise")
     p.add_argument("--utterances", type=_at_least(1), default=20, help="synthetic utterance count")
     p.add_argument("--frames", type=_at_least(2), default=128, help="synthetic utterance frames")
     p.add_argument("--snrs", default="-5,0,5", help="comma-separated mixture SNRs in dB")
@@ -200,7 +205,8 @@ def build_parser() -> _Parser:
 
 def _config_tokens(path) -> list[str]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise start the first key
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path}: config file is not UTF-8 text: {exc}") from exc
@@ -311,10 +317,6 @@ def _wav_files(directory) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    if not args.synthetic and not args.data:
-        raise _UsageError("train needs --data DIR or --synthetic gaussian")
-    if args.synthetic and args.data:
-        raise _UsageError("train takes --data DIR or --synthetic gaussian, not both")
     sched = _config(sde.SdeSchedule, args)
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(score.TrainConfig, args)
@@ -387,11 +389,9 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
     """The (label, clean, noise) waveforms of the benchmark grid, as a list."""
     rng = np.random.default_rng(args.seed)
     if args.synthetic:
-        # the clean speech is a prior sample at the prior sampler's own N, so
-        # it does not change with the enhancer's --reverse-steps
         pairs = []
         for i in range(args.utterances):
-            clean = synth_clean_waveform(args.frames, model, sched, stft_cfg, SamplerConfig(), rng)
+            clean = synth_clean_waveform(args.frames, model, sched, stft_cfg, rng)
             noise = signal.Waveform(
                 noise_nmf.synth_noise_waveform(len(clean), args.nmf_rank, rng), clean.sample_rate
             )
@@ -404,11 +404,8 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
 
 
 def cmd_benchmark(args) -> int:
-    if not args.synthetic and not (args.clean_dir and args.noise_dir):
-        raise _UsageError("benchmark needs --synthetic or both --clean-dir and --noise-dir")
-    if args.synthetic and (args.clean_dir or args.noise_dir):
-        flag = "--clean-dir" if args.clean_dir else "--noise-dir"
-        raise _UsageError(f"benchmark takes --synthetic or {flag}, not both")
+    if (args.noise_dir is None) != (args.clean_dir is None):
+        args.parser.error("--noise-dir goes with --clean-dir, and only with it")
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
     try:

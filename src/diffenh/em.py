@@ -178,10 +178,10 @@ def synth_clean_waveform(
     model,
     sched: SdeSchedule,
     stft_cfg: StftConfig,
-    sampler_cfg: SamplerConfig,
     rng: np.random.Generator,
 ) -> Waveform:
-    """A clean utterance of (frames - 1) * hop samples drawn from the prior.
+    """A clean utterance of (frames - 1) * hop samples, drawn from the prior at
+    the prior sampler's own N whatever an enhancer's reverse_steps.
 
     Synthesis projects the sampled spectrogram onto its overlap-add
     consistent subspace, shrinking per-entry variance below the unit scale
@@ -191,7 +191,7 @@ def synth_clean_waveform(
     makes it, is a FloatingPointError: there is no level to rescale or mix at.
     """
     out_len = (frames - 1) * stft_cfg.hop
-    spec = unconditional_sample((stft_cfg.f_bins, frames), model, sched, sampler_cfg, rng)
+    spec = unconditional_sample((stft_cfg.f_bins, frames), model, sched, SamplerConfig(), rng)
     raw = istft(spec, stft_cfg, out_len)
     # analysis undoes the decompression, so a waveform with power has a var in range
     if not np.mean(raw.samples ** 2) > 0.0:

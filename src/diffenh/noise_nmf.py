@@ -80,7 +80,7 @@ def update_step(P: np.ndarray, params: NmfParams) -> NmfParams:
     return NmfParams(W=w, H=h)
 
 
-def m_step(P: np.ndarray, params: NmfParams, n_updates: int = 20) -> NmfParams:
+def m_step(P: np.ndarray, params: NmfParams, n_updates: int) -> NmfParams:
     """Fit the noise variance to the residual power grid P, such as |x - s_hat|^2."""
     _check_grid(P, params)
     for _ in range(n_updates):

@@ -378,7 +378,7 @@ def dsm_loss_and_grad(model: ToyScoreNet, batch: TrainBatch):
 class TrainConfig:
     lr: float = 1e-4
     batch_size: int = 16
-    epochs: int = 1
+    epochs: int = 10
     steps_per_epoch: int = 100
     patch_frames: int = 256
     lr_decay: str = "constant"  # or "cosine"

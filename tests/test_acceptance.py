@@ -259,11 +259,10 @@ def test_end_to_end_enhancement_gains_3db(sched, trained, record_acceptance):
     model, _, _ = trained
     t0 = SEC()
     toy = signal.StftConfig(window_len=64, hop=16, compress_alpha=1.0, compress_beta=1.0)
-    samp_cfg = sampler.SamplerConfig()
     deltas = []
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
-        clean = em.synth_clean_waveform(80, model, sched, toy, samp_cfg, rng)
+        clean = em.synth_clean_waveform(80, model, sched, toy, rng)
         noise = signal.Waveform(
             noise_nmf.synth_noise_waveform(len(clean), 4, rng), clean.sample_rate
         )

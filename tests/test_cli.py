@@ -147,7 +147,7 @@ def test_train_resume_keeps_the_checkpoint_schedule_and_sizes(tiny_ckpt, tmp_pat
 def test_train_without_data_source_is_usage_error(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path / "x.bin")])
     assert rc == cli.EXIT_USAGE
-    assert "needs --data DIR or --synthetic" in capsys.readouterr().err
+    assert "one of the arguments --data --synthetic is required" in capsys.readouterr().err
 
 
 def _write_noisy(tmp_path, n=2000, rate=16000, seed=3):
@@ -367,7 +367,7 @@ def test_config_file_merge_explicit_flags_win(tiny_ckpt, tmp_path, capsys):
 def test_config_value_may_start_with_a_dash(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("snrs = -5,0,5\n")
-    argv = cli._merge_config(["benchmark", "--config", str(cfg), "--ckpt", "c.bin"])
+    argv = cli._merge_config(["benchmark", "--config", str(cfg), "--ckpt", "c.bin", "--synthetic"])
     assert cli.build_parser().parse_args(argv).snrs == "-5,0,5"
 
 
@@ -422,6 +422,10 @@ def test_config_file_errors(tiny_ckpt, tmp_path, capsys):
     bad.write_bytes(b"\xff\xfeframes = 8\n")
     assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
     assert f"{bad}: config file is not UTF-8 text" in capsys.readouterr().err
+    # a UTF-8 byte-order mark is not part of the first key: hop = 0 reaches --hop
+    bad.write_bytes(b"\xef\xbb\xbfhop = 0\n")
+    assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
+    assert "need 0 < --hop <= --window-len, got 0" in capsys.readouterr().err
     assert cli.main(argv + ["--config", str(tmp_path / "gone.cfg")]) == cli.EXIT_IO
     capsys.readouterr()
 
@@ -439,7 +443,7 @@ def test_config_true_sets_and_false_leaves_unset_a_switch(value, tiny_ckpt, tmp_
         assert "synthetic-000@+0dB" in captured.out and report.exists()
     else:
         assert rc == cli.EXIT_USAGE
-        assert "needs --synthetic or both --clean-dir and --noise-dir" in captured.err
+        assert "one of the arguments --clean-dir --synthetic is required" in captured.err
         assert not report.exists()
 
 
@@ -474,7 +478,34 @@ def test_benchmark_synthetic_speech_does_not_depend_on_reverse_steps(tiny_ckpt, 
 
 def test_benchmark_requires_source(tiny_ckpt, capsys):
     assert cli.main(["benchmark", "--ckpt", str(tiny_ckpt)]) == cli.EXIT_USAGE
-    assert "--synthetic or both" in capsys.readouterr().err
+    assert "one of the arguments --clean-dir --synthetic is required" in capsys.readouterr().err
+
+
+# (id, argv, the two flags the error names); {gone} names no file, so a command
+# that read anything would exit 3, not 1; {cfg} sets synthetic = true
+CORPUS_RULE_CASES = [
+    ("train --data --synthetic", "train --data {gone} --synthetic gaussian --resume {gone} "
+     "--out {out}", ("--data", "--synthetic")),
+    ("benchmark --synthetic --clean-dir", "benchmark --ckpt {gone} --synthetic --clean-dir {gone} "
+     "--report {out}", ("--clean-dir", "--synthetic")),
+    ("benchmark --synthetic --noise-dir", "benchmark --ckpt {gone} --synthetic --noise-dir {gone} "
+     "--report {out}", ("--noise-dir", "--clean-dir")),
+    ("benchmark --clean-dir without --noise-dir", "benchmark --ckpt {gone} --clean-dir {gone} "
+     "--report {out}", ("--noise-dir", "--clean-dir")),
+    ("benchmark --config synthetic --clean-dir", "benchmark --config {cfg} --ckpt {gone} "
+     "--clean-dir {gone} --report {out}", ("--clean-dir", "--synthetic")),
+]
+
+
+@pytest.mark.parametrize("argv,flags", [c[1:] for c in CORPUS_RULE_CASES],
+                         ids=[c[0] for c in CORPUS_RULE_CASES])
+def test_corpus_rules_are_usage_errors_before_any_file_is_read(argv, flags, tmp_path, capsys):
+    paths = {"gone": tmp_path / "gone", "out": tmp_path / "out", "cfg": tmp_path / "c.cfg"}
+    paths["cfg"].write_text("synthetic = true\n")
+    assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_USAGE
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert f"diffenh {argv.split()[0]}: error:" in error and all(f in error for f in flags)
+    assert not paths["out"].exists()
 
 
 def test_benchmark_wav_dirs(tiny_ckpt, tmp_path, capsys):

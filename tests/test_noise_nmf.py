@@ -118,12 +118,12 @@ def test_m_step_contract():
     P = np.abs(x - 0.5 * x) ** 2
     p = init_nmf(6, 8, 2, 1.0, seed=0)
     before = is_objective(P, p)
-    q = m_step(P, p)
+    q = m_step(P, p, 20)
     assert is_objective(P, q) <= before
     # exact shapes only: grids numpy would broadcast against (6, 8) are refused too
     for bad in (P[:, :4], P.T, P[:, :1], P[:1], P[0]):
         with pytest.raises(ValueError, match=re.escape(f"power grid shape {bad.shape} does not")):
-            m_step(bad, p)
+            m_step(bad, p, 20)
 
 
 def test_m_step_zero_residual_drives_variance_down():

@@ -666,7 +666,7 @@ def test_resumed_training_takes_a_fresh_first_adam_step():
     rng = np.random.default_rng(2)
     prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
     ds = [prior.sample((4, 16), rng) for _ in range(2)]
-    cfg = TrainConfig(lr=1e-3, batch_size=2, steps_per_epoch=1, patch_frames=8)
+    cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=1, steps_per_epoch=1, patch_frames=8)
     fresh = ToyScoreNet(hidden=(8,), seed=3, sched=SCHED)
     resumed = ToyScoreNet(hidden=(8,), seed=3, sched=SCHED)
     resumed.step = 1000
