@@ -8,10 +8,12 @@ win).  Randomized commands print their seed in the report header so every
 run is reproducible.
 
 Input is checked in one order: flags (argparse types and corpus groups,
-cross-flag rules) and configs (their dataclasses) before any file is read,
-then what depends on the files read (--nmf-rank, --clean) before any
-sampling, enhancing, training or writing.  So a usage error (exit 1) costs
-no work and writes nothing.
+cross-flag rules) and configs (their dataclasses), then the paths the command
+will write (a directory, or a file in a missing directory, exits 3), before
+any file is read; then what depends on the files read (--nmf-rank, --clean)
+before any sampling, enhancing, training or writing.  So a usage error
+(exit 1) or a bad output path costs no work and writes nothing.  Every usage
+error is printed by main, as a usage line and then "PROG: error: MESSAGE".
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error; main prints it under the usage line of parser, by default
+    the command's once it is parsed."""
+
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _IoError(OSError):
@@ -51,8 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
     # contract: usage errors exit 1, not argparse's default 2
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _UsageError(message, self)
 
 
 def _fmt(prog):
@@ -123,7 +129,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--resume", metavar="CKPT",
                    help="continue training from a checkpoint (its schedule and architecture win)")
-    p.add_argument("--hidden", type=_hidden_widths, default="32,32",
+    p.add_argument("--hidden", type=_hidden_widths,
+                   default=",".join(map(str, score.DEFAULT_HIDDEN)),
                    help="comma-separated hidden layer widths")
     T = score.TrainConfig
     p.add_argument("--lr", type=float, default=T.lr, help="learning rate")
@@ -194,7 +201,8 @@ def build_parser() -> _Parser:
 
     for p in sub.choices.values():
         # flags lets a config error name the flag that set the field: --batch, not
-        # batch_size; parser reports unknown arguments under the command's own usage
+        # batch_size; parser puts a usage error found after parsing under the
+        # command's own usage line
         p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions}, parser=p)
     return root
 
@@ -235,7 +243,7 @@ def _config_tokens(path) -> list[str]:
 def _merge_config(argv: list[str]) -> list[str]:
     """Expand --config FILE into its tokens, placed before the explicit flags."""
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        raise _UsageError(f"diffenh: error: {argv[0]} comes before the command; "
+        raise _UsageError(f"{argv[0]} comes before the command; "
                           "the command comes first: diffenh COMMAND [flags]")
     pre = _Parser(prog="diffenh", add_help=False)
     pre.add_argument("--config", metavar="FILE")
@@ -256,7 +264,18 @@ def _config(cls, args):
         return cls(**values)
     except ValueError as exc:
         message = re.sub(r"\w+", lambda m: args.flags[m[0]] if m[0] in values else m[0], str(exc))
-        raise _UsageError(f"diffenh {args.command}: error: {message}") from exc
+        raise _UsageError(message) from exc
+
+
+def _check_outputs(*paths):
+    """Each path a command will write, checked before it reads or computes
+    anything: a directory, or a file in a missing directory, is an I/O error."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise _IoError(f"{path}: is a directory")
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise _IoError(f"{path}: {parent} is not an existing directory")
 
 
 def _read(load, path):
@@ -320,6 +339,7 @@ def cmd_train(args) -> int:
     sched = _config(sde.SdeSchedule, args)
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(score.TrainConfig, args)
+    _check_outputs(args.out)
     print(f"# seed={args.seed}")
     if args.resume:
         model, sched = _read(score.load_checkpoint, args.resume)
@@ -345,6 +365,7 @@ def cmd_enhance(args) -> int:
         raise _UsageError("--report needs --clean: the report holds metrics against the reference")
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
+    _check_outputs(args.output, args.report)
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
     # scored against --clean, silence in would be scored as silence out
@@ -370,6 +391,7 @@ def cmd_sample(args) -> int:
         raise _UsageError("sample needs --output and/or --dump-spec")
     stft_cfg = _config(signal.StftConfig, args)
     scfg = _config(SamplerConfig, args)
+    _check_outputs(args.output, args.dump_spec)
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
     rng = np.random.default_rng(args.seed)
@@ -405,7 +427,7 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
 
 def cmd_benchmark(args) -> int:
     if (args.noise_dir is None) != (args.clean_dir is None):
-        args.parser.error("--noise-dir goes with --clean-dir, and only with it")
+        raise _UsageError("--noise-dir goes with --clean-dir, and only with it")
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
     try:
@@ -420,6 +442,7 @@ def cmd_benchmark(args) -> int:
         # a synthetic utterance has (frames - 1) * hop samples, known before sampling
         _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,
                         f"a synthetic utterance of --frames {args.frames}", stft_cfg)
+    _check_outputs(args.report)
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
     pairs = _benchmark_pairs(args, model, sched, stft_cfg)
@@ -427,7 +450,7 @@ def cmd_benchmark(args) -> int:
     for label, clean, noise in pairs:
         _check_nmf_rank(args.nmf_rank, len(clean), label, stft_cfg)
         for snr in snrs:
-            tasks.append((len(tasks), f"{label}@{snr:+.0f}dB", clean, noise, snr))
+            tasks.append((len(tasks), f"{label}@{snr:+g}dB", clean, noise, snr))
 
     def _run(task):
         index, label, clean, noise, snr = task
@@ -454,13 +477,17 @@ def cmd_benchmark(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        args, extra = build_parser().parse_known_args(_merge_config(argv))
+        args, extra = parser.parse_known_args(_merge_config(argv))
+        parser = args.parser
         if extra:
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except _UsageError as exc:
-        print(exc, file=sys.stderr)
+        parser = exc.parser or parser
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         # the messages of OSError and _IoError name the offending path

@@ -22,6 +22,7 @@ from .sde import SdeSchedule, complex_randn, kernel_moments
 CHECKPOINT_MAGIC = b"DIFFENHC"
 CHECKPOINT_VERSION = 1
 
+DEFAULT_HIDDEN = (32, 32)
 DEFAULT_EMB_FREQS = (0.5, 1.0, 2.0, 4.0)
 
 # grid points pushed through the net at a time (_blocks), in the net's dtype;
@@ -185,7 +186,8 @@ class ToyScoreNet:
     """
 
     def __init__(
-        self, hidden=(32, 32), emb_freqs=DEFAULT_EMB_FREQS, seed=0, dtype=np.float32, sched=None
+        self, hidden=DEFAULT_HIDDEN, emb_freqs=DEFAULT_EMB_FREQS, seed=0, dtype=np.float32,
+        sched=None,
     ):
         if any(w < 1 for w in hidden):
             raise ValueError(f"hidden widths must be at least 1, got {tuple(hidden)}")

@@ -8,7 +8,7 @@ the full gate status at a glance.
 import numpy as np
 import pytest
 
-from diffenh import SdeSchedule
+from diffenh.sde import SdeSchedule
 
 _ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
 

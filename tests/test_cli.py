@@ -58,6 +58,14 @@ def test_star_import_resolves_every_public_name():
         assert namespace[name] is getattr(diffenh, name)
 
 
+def test_readme_imports_exactly_the_public_names():
+    # the library example is the documented public surface; a name added to or
+    # dropped from __all__ must show up there
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (line,) = [ln for ln in readme.splitlines() if ln.startswith("from diffenh import ")]
+    assert sorted(line.removeprefix("from diffenh import ").split(", ")) == sorted(diffenh.__all__)
+
+
 def test_no_command_is_usage_error(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert "the following arguments are required: COMMAND" in capsys.readouterr().err
@@ -80,7 +88,8 @@ def test_unknown_flag_is_reported_under_the_command_usage(capsys):
 def test_flag_before_the_command_is_usage_error(first, capsys):
     assert cli.main([first, "3", "sample", "--ckpt", "c.bin", "--output", "o.wav"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == (f"diffenh: error: {first} comes before the command; "
+    assert err == ("usage: diffenh [-h] COMMAND ...\n"
+                   f"diffenh: error: {first} comes before the command; "
                    "the command comes first: diffenh COMMAND [flags]\n")
 
 
@@ -464,6 +473,13 @@ def test_benchmark_synthetic_deterministic(tiny_ckpt, tmp_path, capsys):
     assert a["files"][0]["file"] == "synthetic-000@+0dB"
 
 
+def test_benchmark_labels_keep_fractional_snrs(tiny_ckpt, capsys):
+    assert cli.main(["benchmark", "--ckpt", str(tiny_ckpt), "--synthetic", "--utterances", "1",
+                     "--frames", "16", "--snrs=0.5,2.5", *FAST_ENHANCE]) == cli.EXIT_OK
+    labels = re.findall(r"^(\S+): in ", capsys.readouterr().out, re.M)
+    assert labels == ["synthetic-000@+0.5dB", "synthetic-000@+2.5dB"]
+
+
 def test_benchmark_synthetic_speech_does_not_depend_on_reverse_steps(tiny_ckpt, capsys):
     # the clean utterances are prior samples at the prior sampler's own N;
     # --reverse-steps sets only the enhancer's
@@ -567,6 +583,31 @@ def test_os_errors_exit_io_and_name_the_path(argv, offending, tiny_ckpt, tmp_pat
              "noisy": noisy_path, "clean": clean_path}
     assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_IO
     assert offending.format(**paths) in capsys.readouterr().err
+
+
+# (id, argv); {gone} names no file, so a command that read its checkpoint or
+# input before checking its output {out} would name {gone} instead
+OUTPUT_CASES = [
+    ("train --out", "train --data {gone} --out {out}"),
+    ("enhance --output", "enhance --input {gone} --ckpt {gone} --output {out}"),
+    ("enhance --report", "enhance --input {gone} --ckpt {gone} --output {tmp}/o.wav "
+     "--clean {gone} --report {out}"),
+    ("sample --output", "sample --ckpt {gone} --output {out}"),
+    ("sample --dump-spec", "sample --ckpt {gone} --dump-spec {out}"),
+    ("benchmark --report", "benchmark --ckpt {gone} --synthetic --report {out}"),
+]
+
+
+@pytest.mark.parametrize("out", ["{gone}/o", "{tmp}"], ids=["in a missing directory", "a directory"])
+@pytest.mark.parametrize("argv", [c[1] for c in OUTPUT_CASES], ids=[c[0] for c in OUTPUT_CASES])
+def test_outputs_are_checked_before_any_input_is_read(argv, out, tmp_path, capsys):
+    paths = {"tmp": tmp_path, "gone": tmp_path / "gone"}
+    out = out.format(**paths)
+    assert cli.main([tok.format(out=out, **paths) for tok in argv.split()]) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"diffenh: error: {out}: ")
+    assert not any(tmp_path.iterdir())
 
 
 def _edited_ckpt(edit):
@@ -943,8 +984,10 @@ def test_inputs_that_produce_nothing_are_usage_errors(argv, flag, tiny_ckpt, tmp
     paths = {"out": out, "ckpt": tiny_ckpt, "noisy": noisy, "empty": empty}
     rc = cli.main([tok.format(**paths) for tok in argv.split()])
     assert rc == cli.EXIT_USAGE
-    # the error line: argparse's usage line above it lists every flag
-    assert flag.format(**paths) in capsys.readouterr().err.splitlines()[-1]
+    # the error line: the usage line above it lists every flag
+    err, prog = capsys.readouterr().err.splitlines(), f"diffenh {argv.split()[0]}"
+    assert err[0].startswith(f"usage: {prog} ") and err[-1].startswith(f"{prog}: error: ")
+    assert flag.format(**paths) in err[-1]
     assert not out.exists()
 
 
