@@ -3,17 +3,17 @@
 Exit codes: 0 success, 1 usage error, 2 unused, 3 I/O error, 4 numeric
 failure (non-finite scores, noise factors or training loss), 5 internal error
 (a fault in diffenh itself, reported in one line).
-A --config file of key=value lines is merged under the flags (explicit flags
-win).  Randomized commands print their seed in the report header so every
-run is reproducible.
+An argument @FILE is replaced by the lines of FILE, one argument per line, so
+flags after it win.  Randomized commands print their seed in the report header
+so every run is reproducible.
 
 Input is checked in one order: flags (argparse types and corpus groups,
 cross-flag rules) and configs (their dataclasses), then the paths the command
-will write (a directory, or a file in a missing directory, exits 3), before
-any file is read; then what depends on the files read (--nmf-rank, --clean)
-before any sampling, enhancing, training or writing.  So a usage error
-(exit 1) or a bad output path costs no work and writes nothing.  Every usage
-error is printed by main, as a usage line and then "PROG: error: MESSAGE".
+will write (an empty path, a directory or a file in a missing directory exits
+3), before any file is read; then what depends on the files read (--nmf-rank,
+--clean) before any sampling, enhancing, training or writing.  So a usage
+error (exit 1) or a bad output path costs no work and writes nothing.  Every
+usage error is printed by main, as a usage line and then "PROG: error: MESSAGE".
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ class _Parser(argparse.ArgumentParser):
     # contract: usage errors exit 1, not argparse's default 2
     def error(self, message):
         raise _UsageError(message, self)
+
+    # argparse would expand an @ line too, and a file naming itself would recurse
+    def convert_arg_line_to_args(self, arg_line):
+        if arg_line.startswith("@"):
+            raise _UsageError(f"{arg_line}: an argument file may not name another")
+        return [arg_line]
 
 
 def _fmt(prog):
@@ -111,13 +117,12 @@ def _hidden_widths(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> _Parser:
-    root = _Parser(prog="diffenh",
+    root = _Parser(prog="diffenh", fromfile_prefix_chars="@",
                    description="Speech enhancement with a diffusion prior and an NMF noise model.")
     sub = root.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = sub.add_parser("train", help="train the score network",
                        description="Train the toy score network on WAV data or a synthetic prior.")
-    p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     corpus = p.add_mutually_exclusive_group(required=True)
     corpus.add_argument("--data", metavar="DIR", help="directory of clean 16 kHz WAV files")
     corpus.add_argument(
@@ -154,7 +159,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enhance", help="enhance a noisy WAV file",
                        description="Enhance a noisy utterance with a trained checkpoint.")
-    p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--input", required=True, help="noisy WAV file")
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
     p.add_argument("--output", required=True, help="enhanced WAV path to write")
@@ -167,7 +171,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="sample the clean-speech prior unconditionally",
                        description="Draw unconditional prior samples from a trained checkpoint.")
-    p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
     p.add_argument("--output", help="WAV path for the synthesized sample")
     p.add_argument("--dump-spec", metavar="FILE",
@@ -181,7 +184,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("benchmark", help="mix, enhance, and report SI-SDR over a corpus",
                        description="Benchmark enhancement quality over mixtures at several SNRs.")
-    p.add_argument("--config", metavar="FILE", help="key=value file merged under the flags")
     p.add_argument("--ckpt", required=True, help="score model checkpoint")
     corpus = p.add_mutually_exclusive_group(required=True)
     corpus.add_argument("--clean-dir", help="directory of clean WAV files")
@@ -208,51 +210,6 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# config-file merge
-
-
-def _config_tokens(path) -> list[str]:
-    try:
-        # utf-8-sig drops a leading byte-order mark, which would otherwise start the first key
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise _UsageError(f"{path}: config file is not UTF-8 text: {exc}") from exc
-    tokens = []
-    for ln, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise _UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if flag == "--config":
-            # only the command line's --config is expanded, so the file would go unread
-            raise _UsageError(f"{path}:{ln}: {key!r} sets --config, but a config file may not "
-                              "name another config file")
-        if value.lower() == "true":
-            tokens.append(flag)
-        elif value.lower() == "false":
-            continue
-        else:
-            tokens.append(f"{flag}={value}")  # one token, so a value like -5,0,5 is no flag
-    return tokens
-
-
-def _merge_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into its tokens, placed before the explicit flags."""
-    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        raise _UsageError(f"{argv[0]} comes before the command; "
-                          "the command comes first: diffenh COMMAND [flags]")
-    pre = _Parser(prog="diffenh", add_help=False)
-    pre.add_argument("--config", metavar="FILE")
-    known, rest = pre.parse_known_args(argv)
-    # insert right after the subcommand so later (explicit) flags override
-    return argv if known.config is None else rest[:1] + _config_tokens(known.config) + rest[1:]
-
-
-# ---------------------------------------------------------------------------
 # shared helpers
 
 
@@ -268,9 +225,11 @@ def _config(cls, args):
 
 
 def _check_outputs(*paths):
-    """Each path a command will write, checked before it reads or computes
-    anything: a directory, or a file in a missing directory, is an I/O error."""
-    for path in filter(None, paths):
+    """Each path a command will write, checked before any input is read: an
+    empty path, a directory or a file in a missing directory is an I/O error."""
+    for path in (p for p in paths if p is not None):
+        if not path:
+            raise _IoError(f"{path!r}: empty output path")
         if os.path.isdir(path):
             raise _IoError(f"{path}: is a directory")
         parent = os.path.dirname(path)
@@ -361,7 +320,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    if args.report and not args.clean:
+    if args.report is not None and not args.clean:
         raise _UsageError("--report needs --clean: the report holds metrics against the reference")
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
@@ -387,7 +346,7 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if not args.output and not args.dump_spec:
+    if args.output is None and args.dump_spec is None:
         raise _UsageError("sample needs --output and/or --dump-spec")
     stft_cfg = _config(signal.StftConfig, args)
     scfg = _config(SamplerConfig, args)
@@ -479,7 +438,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(_merge_config(argv))
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            raise _UsageError(f"{argv[0]} comes before the command; "
+                              "the command comes first: diffenh COMMAND [flags]")
+        try:
+            args, extra = parser.parse_known_args(argv)
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"cannot decode an argument file: {exc}") from exc
         parser = args.parser
         if extra:
             raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")

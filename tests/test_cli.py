@@ -359,101 +359,112 @@ def test_sample_requires_some_output(tiny_ckpt, capsys):
     assert "--output and/or --dump-spec" in capsys.readouterr().err
 
 
-def test_config_file_merge_explicit_flags_win(tiny_ckpt, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\n\nframes = 8\nreverse_steps = 4\nseed = 7\nwindow_len = 64\nhop = 16\n")
-    dump = tmp_path / "a.spec"
-    rc = cli.main(
-        ["sample", "--config", str(cfg), "--ckpt", str(tiny_ckpt),
-         "--dump-spec", str(dump), "--seed", "9"]
-    )
-    assert rc == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "# seed=9" in out  # explicit flag beats the config value
-    assert np.load(dump).shape == (33, 8)
+SAMPLE_FLAGS = ["--frames=8", "--reverse-steps=4", "--seed=7", "--window-len=64", "--hop=16"]
 
 
-def test_config_value_may_start_with_a_dash(tmp_path):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("snrs = -5,0,5\n")
-    argv = cli._merge_config(["benchmark", "--config", str(cfg), "--ckpt", "c.bin", "--synthetic"])
-    assert cli.build_parser().parse_args(argv).snrs == "-5,0,5"
+def test_argument_file_gives_the_command_line_bytes_and_later_flags_win(tiny_ckpt, tmp_path,
+                                                                        capsys):
+    args_file = tmp_path / "run.args"
+    args_file.write_text("\n".join(SAMPLE_FLAGS) + "\n")
+    outputs = {}
+    for name, flags in [("flags", SAMPLE_FLAGS), ("file", [f"@{args_file}"])]:
+        wav, spec = tmp_path / f"{name}.wav", tmp_path / f"{name}.npy"
+        assert cli.main(["sample", "--ckpt", str(tiny_ckpt), *flags, "--output", str(wav),
+                         "--dump-spec", str(spec)]) == cli.EXIT_OK
+        outputs[name] = wav.read_bytes(), spec.read_bytes()
+    assert outputs["file"] == outputs["flags"]
+    capsys.readouterr()
+    spec = tmp_path / "seed9.npy"
+    assert cli.main(["sample", "--ckpt", str(tiny_ckpt), f"@{args_file}", "--seed", "9",
+                     "--dump-spec", str(spec)]) == cli.EXIT_OK
+    assert "# seed=9" in capsys.readouterr().out  # the later flag beats the file's --seed=7
+    assert np.load(spec).shape == (33, 8) and spec.read_bytes() != outputs["file"][1]
+
+
+def test_argument_file_value_may_start_with_a_dash(tmp_path):
+    args_file = tmp_path / "bench.args"
+    args_file.write_text("--snrs=-10,-3\n")
+    argv = ["benchmark", f"@{args_file}", "--ckpt", "c.bin", "--synthetic"]
+    assert cli.build_parser().parse_args(argv).snrs == "-10,-3"
+
+
+def test_argument_file_switch_line_sets_the_switch(tiny_ckpt, tmp_path, capsys):
+    args_file = tmp_path / "bench.args"
+    args_file.write_text("--synthetic\n")
+    report = tmp_path / "r.json"
+    assert cli.main(["benchmark", f"@{args_file}", "--ckpt", str(tiny_ckpt), "--utterances", "1",
+                     "--frames", "16", "--snrs", "0", "--report", str(report),
+                     *FAST_ENHANCE]) == cli.EXIT_OK
+    assert "synthetic-000@+0dB" in capsys.readouterr().out and report.exists()
+
+
+def test_output_path_starting_with_at_is_no_argument_file(tiny_ckpt, tmp_path, monkeypatch,
+                                                          capsys):
+    # --output=@o.wav is one token that starts with a dash, so argparse does not expand it
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sample", "--ckpt", str(tiny_ckpt), "--output=@o.wav",
+                     *SAMPLE_FLAGS]) == cli.EXIT_OK
+    assert "wrote @o.wav" in capsys.readouterr().out
+    assert len(signal.load_wav(tmp_path / "@o.wav")) == 7 * 16
 
 
 def _dump_sample_argv(ckpt, dump):
-    # no --hop here, so a config's hop = 0 shows as the --hop usage error
+    # no --hop here, so a file's --hop=0 shows as the --hop usage error
     return ["sample", "--ckpt", str(ckpt), "--dump-spec", str(dump), "--frames", "4",
             "--reverse-steps", "2"]
 
 
-@pytest.mark.parametrize("flag", ["--c", "--con", "--conf", "--confi"])
-def test_abbreviated_config_flag_is_a_usage_error(flag, tiny_ckpt, tmp_path, capsys):
-    # flags match exactly: an abbreviation is an unknown flag, so the file is
-    # not silently skipped and sample does not write its dump at the default --hop
-    zero = tmp_path / "zero.cfg"
-    zero.write_text("hop = 0\n")
-    dump = tmp_path / "s.spec"
-    argv = _dump_sample_argv(tiny_ckpt, dump)
-    assert cli.main(argv + ["--config", str(zero)]) == cli.EXIT_USAGE
-    assert "--hop" in capsys.readouterr().err
-    for flags in ([flag, str(zero)], [f"{flag}={zero}"]):
-        assert cli.main(argv + flags) == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "unrecognized arguments" in captured.err and "wrote" not in captured.out
+ROOT_USAGE = "usage: diffenh [-h] COMMAND ...\n"
+
+
+@pytest.mark.parametrize("named", ["self", "nested"])
+def test_argument_file_naming_an_argument_file_is_a_usage_error(named, tiny_ckpt, tmp_path,
+                                                                  capsys):
+    # argparse would read a nested file, and a file that names itself without end
+    zero = tmp_path / "zero.args"
+    zero.write_text("--hop=0\n")
+    outer = tmp_path / "outer.args"
+    inner = outer if named == "self" else zero
+    outer.write_text(f"--frames=4\n@{inner}\n")
+    dump = tmp_path / "s.npy"
+    assert cli.main(_dump_sample_argv(tiny_ckpt, dump) + [f"@{outer}"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == (ROOT_USAGE + f"diffenh: error: @{inner}: an argument file may not "
+                            "name another\n")
+    assert captured.out == "" and not dump.exists()
+
+
+# (id, bytes of the file or None for no file, its name, the error message)
+ARGUMENT_FILE_ERRORS = [
+    ("missing", None, "{tmp}/gone.args", "[Errno 2] No such file or directory: '{tmp}/gone.args'"),
+    ("empty name", None, "", "[Errno 2] No such file or directory: ''"),
+    # a UTF-16 byte-order mark is not UTF-8 text, and argparse opens the file in
+    # Python's default encoding, UTF-8 under a UTF-8 or C locale
+    ("undecodable", b"\xff\xfe--frames=8\n", "{tmp}/bad.args", "cannot decode an argument file: "
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("content,name,message", [c[1:] for c in ARGUMENT_FILE_ERRORS],
+                         ids=[c[0] for c in ARGUMENT_FILE_ERRORS])
+def test_argument_file_that_cannot_be_read_is_a_usage_error(content, name, message, tiny_ckpt,
+                                                            tmp_path, capsys):
+    name, message = name.format(tmp=tmp_path), message.format(tmp=tmp_path)
+    if content is not None:
+        Path(name).write_bytes(content)
+    dump = tmp_path / "s.npy"
+    assert cli.main(_dump_sample_argv(tiny_ckpt, dump) + [f"@{name}"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == ROOT_USAGE + f"diffenh: error: {message}\n"
     assert not dump.exists()
 
 
-# a conf key is an unknown flag like any other, so only a config key names its line
-@pytest.mark.parametrize("key,error", [("config", "{outer}:2:"),
-                                       ("conf", "unrecognized arguments: --conf={zero}")],
-                         ids=["config", "conf"])
-def test_config_file_naming_a_config_file_is_a_usage_error(key, error, tiny_ckpt, tmp_path, capsys):
-    # only the command line's --config is merged; reading no further, sample
-    # would write its dump at the default --hop
-    zero = tmp_path / "zero.cfg"
-    zero.write_text("hop = 0\n")
-    outer = tmp_path / "outer.cfg"
-    outer.write_text(f"# nested\n{key} = {zero}\n")
-    dump = tmp_path / "s.spec"
-    assert cli.main(_dump_sample_argv(tiny_ckpt, dump) + ["--config", str(outer)]) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert error.format(outer=outer, zero=zero) in captured.err and "wrote" not in captured.out
-    assert not dump.exists()
-
-
-def test_config_file_errors(tiny_ckpt, tmp_path, capsys):
-    argv = _dump_sample_argv(tiny_ckpt, tmp_path / "s.spec")
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("frames 8\n")
-    assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
-    assert "expected key=value" in capsys.readouterr().err
-    # a UTF-16 byte-order mark: not UTF-8 text, whatever the locale's encoding
-    bad.write_bytes(b"\xff\xfeframes = 8\n")
-    assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
-    assert f"{bad}: config file is not UTF-8 text" in capsys.readouterr().err
-    # a UTF-8 byte-order mark is not part of the first key: hop = 0 reaches --hop
-    bad.write_bytes(b"\xef\xbb\xbfhop = 0\n")
-    assert cli.main(argv + ["--config", str(bad)]) == cli.EXIT_USAGE
-    assert "need 0 < --hop <= --window-len, got 0" in capsys.readouterr().err
-    assert cli.main(argv + ["--config", str(tmp_path / "gone.cfg")]) == cli.EXIT_IO
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("value", ["true", "false"])
-def test_config_true_sets_and_false_leaves_unset_a_switch(value, tiny_ckpt, tmp_path, capsys):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(f"synthetic = {value}\n")
-    report = tmp_path / "r.json"
-    rc = cli.main(["benchmark", "--config", str(cfg), "--ckpt", str(tiny_ckpt), "--utterances", "1",
-                   "--frames", "16", "--snrs", "0", "--report", str(report), *FAST_ENHANCE])
-    captured = capsys.readouterr()
-    if value == "true":
-        assert rc == cli.EXIT_OK
-        assert "synthetic-000@+0dB" in captured.out and report.exists()
-    else:
-        assert rc == cli.EXIT_USAGE
-        assert "one of the arguments --clean-dir --synthetic is required" in captured.err
-        assert not report.exists()
+def test_argument_file_utf8_byte_order_mark_starts_the_first_argument(tiny_ckpt, tmp_path, capsys):
+    args_file = tmp_path / "bom.args"
+    args_file.write_bytes(b"\xef\xbb\xbf--hop=0\n")
+    assert cli.main(_dump_sample_argv(tiny_ckpt, tmp_path / "s.npy")
+                    + [f"@{args_file}"]) == cli.EXIT_USAGE
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == "diffenh sample: error: unrecognized arguments: \ufeff--hop=0"
 
 
 def test_benchmark_synthetic_deterministic(tiny_ckpt, tmp_path, capsys):
@@ -498,7 +509,7 @@ def test_benchmark_requires_source(tiny_ckpt, capsys):
 
 
 # (id, argv, the two flags the error names); {gone} names no file, so a command
-# that read anything would exit 3, not 1; {cfg} sets synthetic = true
+# that read anything would exit 3, not 1; {args} holds --synthetic
 CORPUS_RULE_CASES = [
     ("train --data --synthetic", "train --data {gone} --synthetic gaussian --resume {gone} "
      "--out {out}", ("--data", "--synthetic")),
@@ -508,7 +519,7 @@ CORPUS_RULE_CASES = [
      "--report {out}", ("--noise-dir", "--clean-dir")),
     ("benchmark --clean-dir without --noise-dir", "benchmark --ckpt {gone} --clean-dir {gone} "
      "--report {out}", ("--noise-dir", "--clean-dir")),
-    ("benchmark --config synthetic --clean-dir", "benchmark --config {cfg} --ckpt {gone} "
+    ("benchmark @FILE --synthetic --clean-dir", "benchmark @{args} --ckpt {gone} "
      "--clean-dir {gone} --report {out}", ("--clean-dir", "--synthetic")),
 ]
 
@@ -516,8 +527,8 @@ CORPUS_RULE_CASES = [
 @pytest.mark.parametrize("argv,flags", [c[1:] for c in CORPUS_RULE_CASES],
                          ids=[c[0] for c in CORPUS_RULE_CASES])
 def test_corpus_rules_are_usage_errors_before_any_file_is_read(argv, flags, tmp_path, capsys):
-    paths = {"gone": tmp_path / "gone", "out": tmp_path / "out", "cfg": tmp_path / "c.cfg"}
-    paths["cfg"].write_text("synthetic = true\n")
+    paths = {"gone": tmp_path / "gone", "out": tmp_path / "out", "args": tmp_path / "a.args"}
+    paths["args"].write_text("--synthetic\n")
     assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_USAGE
     error = capsys.readouterr().err.splitlines()[-1]
     assert f"diffenh {argv.split()[0]}: error:" in error and all(f in error for f in flags)
@@ -552,10 +563,9 @@ _FAST_TRAIN = ("--synthetic gaussian --items 1 --bins 4 --frames 8 --patch-frame
                "--hidden 4 --epochs 1 --steps-per-epoch 1")
 _FAST = " ".join(FAST_ENHANCE)
 
-# (id, argv, offending path); {gone} is a directory that does not exist
+# (id, argv, what the error names); {gone} is a directory that does not exist,
+# and {empty} is an empty argument
 IO_CASES = [
-    ("missing --config", "sample --config {gone}/run.cfg --ckpt {ckpt} --dump-spec {tmp}/s.spec",
-     "{gone}/run.cfg"),
     ("missing --ckpt", "sample --ckpt {gone}/c.bin --output {tmp}/o.wav", "{gone}/c.bin"),
     ("missing --input", "enhance --input {gone}/n.wav --ckpt {ckpt} --output {tmp}/o.wav "
      + _FAST, "{gone}/n.wav"),
@@ -570,6 +580,9 @@ IO_CASES = [
     ("unwritable --dump-spec", "sample --ckpt {ckpt} --dump-spec {gone}/s.spec " + _FAST_SAMPLE,
      "{gone}/s.spec"),
     ("unwritable train --out", "train --out {gone}/t.bin " + _FAST_TRAIN, "{gone}/t.bin"),
+    ("empty train --out", "train --out {empty} " + _FAST_TRAIN, "'': empty output path"),
+    ("empty enhance --output", "enhance --input {noisy} --ckpt {ckpt} --output {empty} " + _FAST,
+     "'': empty output path"),
     ("unlistable --data", "train --data {gone} --out {tmp}/t.bin", "{gone}"),
     ("unlistable --clean-dir", "benchmark --ckpt {ckpt} --clean-dir {gone} --noise-dir {tmp} "
      + _FAST, "{gone}"),
@@ -580,9 +593,12 @@ IO_CASES = [
 def test_os_errors_exit_io_and_name_the_path(argv, offending, tiny_ckpt, tmp_path, capsys):
     noisy_path, clean_path = _write_noisy(tmp_path)
     paths = {"tmp": tmp_path, "gone": tmp_path / "gone", "ckpt": tiny_ckpt,
-             "noisy": noisy_path, "clean": clean_path}
+             "noisy": noisy_path, "clean": clean_path, "empty": ""}
     assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_IO
-    assert offending.format(**paths) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert offending.format(**paths) in captured.err
+    # the error comes before any work, so no training epoch runs and nothing is written
+    assert "epoch" not in captured.out and "wrote" not in captured.out
 
 
 # (id, argv); {gone} names no file, so a command that read its checkpoint or
@@ -598,15 +614,16 @@ OUTPUT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("out", ["{gone}/o", "{tmp}"], ids=["in a missing directory", "a directory"])
+@pytest.mark.parametrize("out,named", [("{gone}/o", "{gone}/o"), ("{tmp}", "{tmp}"), ("", "''")],
+                         ids=["in a missing directory", "a directory", "empty"])
 @pytest.mark.parametrize("argv", [c[1] for c in OUTPUT_CASES], ids=[c[0] for c in OUTPUT_CASES])
-def test_outputs_are_checked_before_any_input_is_read(argv, out, tmp_path, capsys):
+def test_outputs_are_checked_before_any_input_is_read(argv, out, named, tmp_path, capsys):
     paths = {"tmp": tmp_path, "gone": tmp_path / "gone"}
     out = out.format(**paths)
     assert cli.main([tok.format(out=out, **paths) for tok in argv.split()]) == cli.EXIT_IO
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"diffenh: error: {out}: ")
+    assert captured.err.startswith(f"diffenh: error: {named.format(**paths)}: ")
     assert not any(tmp_path.iterdir())
 
 
