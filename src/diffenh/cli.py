@@ -225,9 +225,10 @@ def _config(cls, args):
 
 
 def _check_outputs(*paths):
-    """Each path a command will write, checked before any input is read: an
-    empty path, a directory or a file in a missing directory is an I/O error."""
-    for path in (p for p in paths if p is not None):
+    """Each path a command will write, checked before any input is read: an empty
+    path, a directory, a file in a missing directory or a repeated file is an I/O error."""
+    named = [p for p in paths if p is not None]
+    for i, path in enumerate(named):
         if not path:
             raise _IoError(f"{path!r}: empty output path")
         if os.path.isdir(path):
@@ -235,6 +236,8 @@ def _check_outputs(*paths):
         parent = os.path.dirname(path)
         if parent and not os.path.isdir(parent):
             raise _IoError(f"{path}: {parent} is not an existing directory")
+        if os.path.realpath(path) in map(os.path.realpath, named[:i]):
+            raise _IoError(f"{path}: another output names the same file")
 
 
 def _read(load, path):
@@ -300,7 +303,7 @@ def cmd_train(args) -> int:
     cfg = _config(score.TrainConfig, args)
     _check_outputs(args.out)
     print(f"# seed={args.seed}")
-    if args.resume:
+    if args.resume is not None:
         model, sched = _read(score.load_checkpoint, args.resume)
     else:
         model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed, sched=sched)
@@ -320,7 +323,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    if args.report is not None and not args.clean:
+    if args.report is not None and args.clean is None:
         raise _UsageError("--report needs --clean: the report holds metrics against the reference")
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
@@ -328,8 +331,8 @@ def cmd_enhance(args) -> int:
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
     # scored against --clean, silence in would be scored as silence out
-    noisy = _load_audible("--input", args.input) if args.clean else _load_wav(args.input)
-    clean = _load_audible("--clean", args.clean) if args.clean else None
+    noisy = _load_wav(args.input) if args.clean is None else _load_audible("--input", args.input)
+    clean = None if args.clean is None else _load_audible("--clean", args.clean)
     if clean is not None and len(clean) != len(noisy):
         raise _UsageError(
             f"length mismatch: --input has {len(noisy)} samples, --clean has {len(clean)}"

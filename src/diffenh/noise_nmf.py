@@ -1,9 +1,9 @@
 """Low-rank noise-variance model and its multiplicative updates.
 
-The noise variance over the (F, T) grid is V = W @ H with nonnegative
-factors.  The M-step minimizes sum(P/V + log V) for the residual power P,
-the Itakura-Saito objective up to constants, via the standard multiplicative
-updates, which never increase it.
+The noise variance over the (F, T) grid is V = W @ H with nonnegative factors.  The
+M-step minimizes sum(P/V + log V) for the residual power P, the Itakura-Saito objective
+up to constants, by multiplicative updates that never increase it, each from a fresh V:
+W <- W * ((P/V^2) @ H.T) / ((1/V) @ H.T), then H <- H * (W.T @ (P/V^2)) / (W.T @ (1/V)).
 """
 
 from __future__ import annotations
@@ -65,27 +65,23 @@ def is_objective(P: np.ndarray, params: NmfParams) -> float:
     return float(np.sum(P / v + np.log(v)))
 
 
-def update_step(P: np.ndarray, params: NmfParams) -> NmfParams:
-    """One multiplicative update of W then H, refreshing V in between."""
-    v = params.variance()
-    num = (P / v**2) @ params.H.T
-    den = (1.0 / v) @ params.H.T
-    w = np.maximum(params.W * num / np.maximum(den, EPS_NMF), EPS_NMF)
-    v = np.maximum(w @ params.H, EPS_NMF)
-    num = w.T @ (P / v**2)
-    den = w.T @ (1.0 / v)
-    h = np.maximum(params.H * num / np.maximum(den, EPS_NMF), EPS_NMF)
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(h))):
-        raise FloatingPointError("non-finite NMF factors")
-    return NmfParams(W=w, H=h)
-
-
 def m_step(P: np.ndarray, params: NmfParams, n_updates: int) -> NmfParams:
-    """Fit the noise variance to the residual power grid P, such as |x - s_hat|^2."""
+    """Fit V to the power grid P, such as |x - s_hat|^2, by n_updates of the module's W then
+    H update: the one IS-NMF update loop, raising FloatingPointError on a non-finite factor."""
     _check_grid(P, params)
+    W, H = params.W, params.H
     for _ in range(n_updates):
-        params = update_step(P, params)
-    return params
+        v = np.maximum(W @ H, EPS_NMF)
+        num = (P / v**2) @ H.T
+        den = (1.0 / v) @ H.T
+        W = np.maximum(W * num / np.maximum(den, EPS_NMF), EPS_NMF)
+        v = np.maximum(W @ H, EPS_NMF)
+        num = W.T @ (P / v**2)
+        den = W.T @ (1.0 / v)
+        H = np.maximum(H * num / np.maximum(den, EPS_NMF), EPS_NMF)
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(H))):
+            raise FloatingPointError("non-finite NMF factors")
+    return NmfParams(W=W, H=H)
 
 
 def synth_noise_waveform(n_samples: int, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -233,7 +233,7 @@ def test_nmf_updates_monotone_and_recover_rank4(record_acceptance):
         params = noise_nmf.init_nmf(8, 10, 3, float(P.mean()), seed=trial)
         prev = noise_nmf.is_objective(P, params)
         for _ in range(50):
-            params = noise_nmf.update_step(P, params)
+            params = noise_nmf.m_step(P, params, 1)
             cur = noise_nmf.is_objective(P, params)
             if cur > prev + 1e-10:
                 violations += 1
@@ -243,7 +243,7 @@ def test_nmf_updates_monotone_and_recover_rank4(record_acceptance):
     P = W @ H
     params = noise_nmf.init_nmf(12, 16, 4, float(P.mean()), seed=1)
     for _ in range(20_000):
-        params = noise_nmf.update_step(P, params)
+        params = noise_nmf.m_step(P, params, 1)
     gap = noise_nmf.is_objective(P, params) - float(np.sum(1.0 + np.log(P)))
     dt = SEC() - t0
     ok = violations == 0 and gap < 1e-6 and dt < 30.0

@@ -583,6 +583,10 @@ IO_CASES = [
     ("empty train --out", "train --out {empty} " + _FAST_TRAIN, "'': empty output path"),
     ("empty enhance --output", "enhance --input {noisy} --ckpt {ckpt} --output {empty} " + _FAST,
      "'': empty output path"),
+    ("empty train --resume", "train --resume {empty} --out {tmp}/t.bin " + _FAST_TRAIN,
+     "No such file or directory: ''"),
+    ("empty enhance --clean", "enhance --input {noisy} --ckpt {ckpt} --output {tmp}/o.wav "
+     "--clean {empty} " + _FAST, "No such file or directory: ''"),
     ("unlistable --data", "train --data {gone} --out {tmp}/t.bin", "{gone}"),
     ("unlistable --clean-dir", "benchmark --ckpt {ckpt} --clean-dir {gone} --noise-dir {tmp} "
      + _FAST, "{gone}"),
@@ -624,6 +628,32 @@ def test_outputs_are_checked_before_any_input_is_read(argv, out, named, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"diffenh: error: {named.format(**paths)}: ")
+    assert not any(tmp_path.iterdir())
+
+
+# (id, argv); both outputs name {out}, once as given and once through the
+# working directory ./, and {gone} names no file, as in OUTPUT_CASES
+SAME_FILE_CASES = [
+    ("sample --output and --dump-spec", "sample --ckpt {gone} --output {out} --dump-spec {out}"),
+    ("sample --output and ./--dump-spec",
+     "sample --ckpt {gone} --output {out} --dump-spec ./{out}"),
+    ("enhance --output and --report", "enhance --input {gone} --ckpt {gone} --output {out} "
+     "--clean {gone} --report {out}"),
+    ("enhance --output and ./--report", "enhance --input {gone} --ckpt {gone} --output {out} "
+     "--clean {gone} --report ./{out}"),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in SAME_FILE_CASES],
+                         ids=[c[0] for c in SAME_FILE_CASES])
+def test_two_outputs_naming_one_file_are_rejected_before_any_input_is_read(
+        argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [tok.format(out="P", gone=tmp_path / "gone") for tok in argv.split()]
+    assert cli.main(argv) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"diffenh: error: {argv[-1]}: another output names the same file\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -11,7 +11,6 @@ from diffenh.noise_nmf import (
     is_objective,
     m_step,
     synth_noise_waveform,
-    update_step,
 )
 
 
@@ -55,24 +54,40 @@ def test_objective_closed_forms():
         is_objective(P.T, p)
 
 
-def test_update_step_fixed_point():
+def test_m_step_fixed_point():
     p = init_nmf(6, 9, 2, 1.0, seed=2)
     P = p.variance().copy()
-    q = update_step(P, p)
+    q = m_step(P, p, 1)
     assert np.max(np.abs(q.W - p.W)) < 1e-12
     assert np.max(np.abs(q.H - p.H)) < 1e-12
 
 
-def test_update_step_rejects_non_finite_factors():
-    # an infinite residual power drives W to inf and then H to nan
+def test_m_step_rejects_non_finite_factors():
+    # an infinite residual power drives W to inf and then H to nan; a longer fit
+    # raises after the same floating-point work as a single update, so every
+    # invalid operation it reports is one that the first update reports too
     p = init_nmf(4, 5, 2, 1.0, seed=0)
     P = np.ones((4, 5))
     P[1, 2] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-        update_step(P, p)
+    reported = {1: [], 5: []}
+    for n, seen in reported.items():
+        with np.errstate(invalid="call", call=lambda kind, flag, seen=seen: seen.append(kind)):
+            with pytest.raises(FloatingPointError, match="non-finite NMF factors"):
+                m_step(P, p, n)
+    assert reported[1] and reported[5] == reported[1]
 
 
-def test_update_step_monotone_on_random_problems():
+def test_m_step_equals_chained_single_updates():
+    rng = np.random.default_rng(8)
+    P = rng.uniform(0.01, 5.0, (9, 11))
+    p = init_nmf(9, 11, 3, float(P.mean()), seed=4)
+    q = m_step(P, p, 3)
+    for _ in range(3):
+        p = m_step(P, p, 1)
+    assert np.array_equal(q.W, p.W) and np.array_equal(q.H, p.H)
+
+
+def test_m_step_monotone_on_random_problems():
     rng = np.random.default_rng(3)
     violations = 0
     for trial in range(20):
@@ -80,7 +95,7 @@ def test_update_step_monotone_on_random_problems():
         p = init_nmf(8, 10, 3, float(P.mean()), seed=trial)
         prev = is_objective(P, p)
         for _ in range(50):
-            p = update_step(P, p)
+            p = m_step(P, p, 1)
             cur = is_objective(P, p)
             if cur > prev + 1e-10:
                 violations += 1
@@ -95,7 +110,7 @@ def test_rank_one_exact_recovery():
     P = w @ h
     p = init_nmf(10, 14, 1, float(P.mean()), seed=0)
     for _ in range(2000):
-        p = update_step(P, p)
+        p = m_step(P, p, 1)
     rel = np.linalg.norm(p.variance() - P) / np.linalg.norm(P)
     assert rel < 1e-8
 
@@ -107,7 +122,7 @@ def test_rank_four_recovery_reaches_lower_bound():
     P = W @ H
     p = init_nmf(12, 16, 4, float(P.mean()), seed=1)
     for _ in range(20_000):
-        p = update_step(P, p)
+        p = m_step(P, p, 1)
     bound = float(np.sum(1.0 + np.log(P)))
     assert is_objective(P, p) - bound < 1e-6
 
