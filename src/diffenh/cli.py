@@ -7,7 +7,7 @@ An argument @FILE is replaced by the lines of FILE, one argument per line, so
 flags after it win.  Randomized commands print their seed in the report header
 so every run is reproducible.
 
-Input is checked in one order: flags (argparse types and corpus groups,
+Input is checked in one order: flags (argparse types and exclusive groups,
 cross-flag rules) and configs (their dataclasses), then the paths the command
 will write (an empty path, a directory or a file in a missing directory exits
 3), before any file is read; then what depends on the files read (--nmf-rank,
@@ -45,10 +45,6 @@ class _UsageError(Exception):
     def __init__(self, message, parser=None):
         super().__init__(message)
         self.parser = parser
-
-
-class _IoError(OSError):
-    """An unreadable or malformed input file; exits like any other OSError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,8 +87,6 @@ def _add_enhance_flags(p):
     p.add_argument("--nmf-rank", type=int, default=E.nmf_rank, help="noise model rank (r)")
     p.add_argument("--batch", type=int, default=E.batch,
                    help="posterior chains averaged per E-step (b)")
-    p.add_argument("--nmf-updates", dest="nmf_inner_updates", metavar="NMF_UPDATES", type=int,
-                   default=E.nmf_inner_updates, help="multiplicative updates per M-step")
 
 
 def _at_least(minimum: int):
@@ -126,17 +120,18 @@ def build_parser() -> _Parser:
     corpus = p.add_mutually_exclusive_group(required=True)
     corpus.add_argument("--data", metavar="DIR", help="directory of clean 16 kHz WAV files")
     corpus.add_argument(
-        "--synthetic", choices=["gaussian"],
+        "--synthetic", action="store_true",
         help="train on draws from the built-in unit Gaussian prior instead of WAV data")
     p.add_argument("--items", type=_at_least(1), default=64, help="synthetic dataset size")
     p.add_argument("--bins", type=_at_least(1), default=16, help="synthetic spectrogram bins")
     p.add_argument("--frames", type=_at_least(1), default=256, help="synthetic spectrogram frames")
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--resume", metavar="CKPT",
-                   help="continue training from a checkpoint (its schedule and architecture win)")
-    p.add_argument("--hidden", type=_hidden_widths,
-                   default=",".join(map(str, score.DEFAULT_HIDDEN)),
-                   help="comma-separated hidden layer widths")
+    net = p.add_mutually_exclusive_group()
+    net.add_argument("--resume", metavar="CKPT",
+                     help="continue from a checkpoint, under its schedule and sizes")
+    net.add_argument("--hidden", type=_hidden_widths,
+                     default=",".join(map(str, score.DEFAULT_HIDDEN)),
+                     help="comma-separated hidden layer widths")
     T = score.TrainConfig
     p.add_argument("--lr", type=float, default=T.lr, help="learning rate")
     p.add_argument("--lr-decay", choices=["constant", "cosine"], default=T.lr_decay,
@@ -149,11 +144,6 @@ def build_parser() -> _Parser:
     p.add_argument("--patch-frames", type=int, default=T.patch_frames,
                    help="frames per training patch")
     p.add_argument("--seed", type=_at_least(0), default=T.seed, help="master seed")
-    S = sde.SdeSchedule
-    p.add_argument("--gamma", type=float, default=S.gamma, help="mean-decay rate")
-    p.add_argument("--sigma-min", type=float, default=S.sigma_min, help="minimum noise scale")
-    p.add_argument("--sigma-max", type=float, default=S.sigma_max, help="maximum noise scale")
-    p.add_argument("--t-min", type=float, default=S.t_min, help="minimum process time")
     _add_stft_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -230,14 +220,14 @@ def _check_outputs(*paths):
     named = [p for p in paths if p is not None]
     for i, path in enumerate(named):
         if not path:
-            raise _IoError(f"{path!r}: empty output path")
+            raise OSError(f"{path!r}: empty output path")
         if os.path.isdir(path):
-            raise _IoError(f"{path}: is a directory")
+            raise OSError(f"{path}: is a directory")
         parent = os.path.dirname(path)
         if parent and not os.path.isdir(parent):
-            raise _IoError(f"{path}: {parent} is not an existing directory")
+            raise OSError(f"{path}: {parent} is not an existing directory")
         if os.path.realpath(path) in map(os.path.realpath, named[:i]):
-            raise _IoError(f"{path}: another output names the same file")
+            raise OSError(f"{path}: another output names the same file")
 
 
 def _read(load, path):
@@ -245,13 +235,13 @@ def _read(load, path):
     try:
         return load(path)
     except ValueError as exc:
-        raise _IoError(str(exc)) from exc
+        raise OSError(str(exc)) from exc
 
 
 def _load_wav(path) -> signal.Waveform:
     w = _read(signal.load_wav, path)
     if w.sample_rate != 16000:
-        raise _IoError(f"{path}: pipeline expects 16 kHz input, got {w.sample_rate} Hz")
+        raise OSError(f"{path}: pipeline expects 16 kHz input, got {w.sample_rate} Hz")
     if not len(w):
         raise _UsageError(f"{path} holds no samples")
     return w
@@ -289,7 +279,7 @@ def _wav_files(directory) -> list[str]:
     """Sorted paths of the .wav files in directory; none is an I/O error."""
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".wav"))
     if not names:
-        raise _IoError(f"{directory}: no WAV files found")
+        raise OSError(f"{directory}: no WAV files found")
     return [os.path.join(directory, n) for n in names]
 
 
@@ -298,15 +288,15 @@ def _wav_files(directory) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    sched = _config(sde.SdeSchedule, args)
     stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(score.TrainConfig, args)
     _check_outputs(args.out)
     print(f"# seed={args.seed}")
+    # a fresh net trains under SdeSchedule(), a resumed one under its checkpoint's
     if args.resume is not None:
-        model, sched = _read(score.load_checkpoint, args.resume)
+        model, _ = _read(score.load_checkpoint, args.resume)
     else:
-        model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed, sched=sched)
+        model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed)
     if args.synthetic:
         rng = np.random.default_rng(args.seed)
         dataset = [sde.complex_randn((args.bins, args.frames), rng) for _ in range(args.items)]
@@ -314,10 +304,10 @@ def cmd_train(args) -> int:
         dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
     frames = min(d.shape[1] for d in dataset)
     cfg = dataclasses.replace(cfg, patch_frames=min(cfg.patch_frames, frames))
-    model, history = score.train(model, dataset, cfg, sched)
+    model, history = score.train(model, dataset, cfg, model.sched)
     for epoch, loss in enumerate(history, 1):
         print(f"epoch {epoch}: loss {loss:.6f}")
-    score.save_checkpoint(model, sched, args.out)
+    score.save_checkpoint(model, model.sched, args.out)
     print(f"wrote {args.out} ({model.n_params} parameters, step {model.step})")
     return EXIT_OK
 
@@ -458,7 +448,7 @@ def main(argv=None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        # the messages of OSError and _IoError name the offending path
+        # every OSError message names the offending path
         print(f"diffenh: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except FloatingPointError as exc:

@@ -190,6 +190,8 @@ def synth_clean_waveform(
     decompressed waveform has no power left, as a huge compression scale
     makes it, is a FloatingPointError: there is no level to rescale or mix at.
     """
+    if frames < 2:
+        raise ValueError(f"frames must be >= 2 for a waveform of (frames - 1) hops, got {frames}")
     out_len = (frames - 1) * stft_cfg.hop
     spec = unconditional_sample((stft_cfg.f_bins, frames), model, sched, SamplerConfig(), rng)
     raw = istft(spec, stft_cfg, out_len)

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -212,3 +213,16 @@ def test_silent_mixture_gives_silence(sched):
     res = enhance_spectrogram(np.zeros((5, 7), complex), prior, sched, EnhancementConfig())
     assert np.array_equal(res.s_hat, np.zeros((5, 7)))
     assert res.trace == []
+
+
+@pytest.mark.parametrize("frames", [0, 1])
+def test_synth_clean_waveform_rejects_fewer_than_two_frames(frames, sched):
+    # a waveform of (frames - 1) hops needs two frames; the check comes before
+    # sampling, so no empty-slice warning or power underflow hides the cause
+    stft_cfg = StftConfig(window_len=7, hop=1)
+    prior = AnalyticGaussianPrior(mean=np.zeros((stft_cfg.f_bins, frames)), var0=1.0, sched=sched)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=rf"^frames must be >= 2 .*, got {frames}$"):
+            em.synth_clean_waveform(frames, prior, sched, stft_cfg, np.random.default_rng(0))
+    assert caught == []
