@@ -82,11 +82,7 @@ def _add_stft_flags(p):
 def _add_enhance_flags(p):
     E = EnhancementConfig
     p.add_argument("--em-iters", type=int, default=E.em_iters, help="EM iterations (K)")
-    p.add_argument("--reverse-steps", type=int, default=E.reverse_steps,
-                   help="reverse sampling steps (N)")
     p.add_argument("--nmf-rank", type=int, default=E.nmf_rank, help="noise model rank (r)")
-    p.add_argument("--batch", type=int, default=E.batch,
-                   help="posterior chains averaged per E-step (b)")
 
 
 def _at_least(minimum: int):
@@ -122,9 +118,6 @@ def build_parser() -> _Parser:
     corpus.add_argument(
         "--synthetic", action="store_true",
         help="train on draws from the built-in unit Gaussian prior instead of WAV data")
-    p.add_argument("--items", type=_at_least(1), default=64, help="synthetic dataset size")
-    p.add_argument("--bins", type=_at_least(1), default=16, help="synthetic spectrogram bins")
-    p.add_argument("--frames", type=_at_least(1), default=256, help="synthetic spectrogram frames")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     net = p.add_mutually_exclusive_group()
     net.add_argument("--resume", metavar="CKPT",
@@ -299,7 +292,8 @@ def cmd_train(args) -> int:
         model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed)
     if args.synthetic:
         rng = np.random.default_rng(args.seed)
-        dataset = [sde.complex_randn((args.bins, args.frames), rng) for _ in range(args.items)]
+        # the reference prior's corpus: 64 unit-Gaussian grids of 16 bins x 64 frames
+        dataset = [sde.complex_randn((16, 64), rng) for _ in range(64)]
     else:
         dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
     frames = min(d.shape[1] for d in dataset)

@@ -15,8 +15,9 @@ SI_SDR_CAP = 140.0
 def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     """Project the estimate onto the reference, then 10 log10 of the power ratio.
 
-    Scale-invariant by construction.  Returns the +140 dB cap when the
-    residual is zero, and -inf when the target part is (as for silence).
+    Scale-invariant by construction, and clamped to +-SI_SDR_CAP dB: +140 when
+    the residual is zero, -140 when the target part is (as for silence), so a
+    report never holds an infinity.
     """
     est = estimate.samples
     ref = reference.samples
@@ -30,11 +31,11 @@ def si_sdr(estimate: Waveform, reference: Waveform) -> float:
     resid = est - target
     num = float(np.dot(target, target))
     den = float(np.dot(resid, resid))
-    if num == 0.0:
-        return -math.inf
-    if den == 0.0 or 10.0 * math.log10(num / den) > SI_SDR_CAP:
-        return SI_SDR_CAP
-    return 10.0 * math.log10(num / den)
+    if den == 0.0:
+        return SI_SDR_CAP if num else -SI_SDR_CAP
+    if num / den == 0.0:  # num is zero, or underflows against den
+        return -SI_SDR_CAP
+    return min(max(10.0 * math.log10(num / den), -SI_SDR_CAP), SI_SDR_CAP)
 
 
 FIELDS = ("si_sdr_db", "input_si_sdr_db", "delta_db")
@@ -66,6 +67,8 @@ def aggregate_reports(reports: list[dict], labels: list[str]) -> dict:
 
 
 def write_report(path, payload: dict):
+    """payload as strict JSON: a NaN or an infinity raises ValueError before
+    the file is opened."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

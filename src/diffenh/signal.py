@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_WINSUM_FLOOR = 1e-12
-
 # the widest mixture SNR, in dB either way: float64 resolves 2.2e-16 of a value, 313 dB in
 # amplitude, so past about 300 dB the weaker signal sinks below the stronger one's rounding
 MAX_SNR_DB = 300.0
@@ -46,8 +44,10 @@ class StftConfig:
 
     The window is a periodic Hann of window_len samples and the FFT length
     equals it (no zero padding), so window_len=510 gives F = 510//2 + 1 = 256
-    bins.  compress_alpha in (0, 1] and compress_beta > 0 control the
-    amplitude compression.
+    bins.  hop is at most window_len // 2: the window is zero at its first
+    sample, so a longer hop leaves samples that no frame weighs, or frames that
+    stop short of the signal's end.  compress_alpha in (0, 1] and
+    compress_beta > 0 control the amplitude compression.
     """
 
     window_len: int = 510
@@ -56,8 +56,9 @@ class StftConfig:
     compress_beta: float = 0.15
 
     def __post_init__(self):
-        if not 0 < self.hop <= self.window_len:
-            raise ValueError(f"need 0 < hop <= window_len, got {self.hop}, {self.window_len}")
+        if not 0 < self.hop <= self.window_len // 2:
+            raise ValueError(f"need 0 < hop <= window_len // 2, got hop {self.hop} "
+                             f"with window_len {self.window_len}")
         if not 0 < self.compress_alpha <= 1:
             raise ValueError(f"compress_alpha must lie in (0, 1], got {self.compress_alpha}")
         if not 0 < self.compress_beta < math.inf:
@@ -141,8 +142,9 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int, sample_rate: int = 16
         lo = m * cfg.hop
         out[lo : lo + cfg.window_len] += raw[m] * win
         norm[lo : lo + cfg.window_len] += win**2
-    out /= np.maximum(norm, _WINSUM_FLOOR)
-    return Waveform(out[pad : pad + out_len], sample_rate)
+    # with hop <= window_len // 2 every output sample has a positive window sum
+    span = slice(pad, pad + out_len)
+    return Waveform(out[span] / norm[span], sample_rate)
 
 
 def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int = 0):

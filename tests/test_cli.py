@@ -118,8 +118,8 @@ def tiny_ckpt(tmp_path_factory):
     rc = cli.main(
         [
             "train", "--synthetic", "--out", str(path),
-            "--items", "2", "--bins", "8", "--frames", "16", "--patch-frames", "8",
-            "--hidden", "8", "--epochs", "1", "--steps-per-epoch", "2", "--seed", "0",
+            "--patch-frames", "8", "--hidden", "8", "--epochs", "1", "--steps-per-epoch", "2",
+            "--seed", "0",
         ]
     )
     assert rc == cli.EXIT_OK
@@ -133,8 +133,8 @@ def test_train_writes_checkpoint(tiny_ckpt, capsys):
     rc = cli.main(
         [
             "train", "--synthetic", "--out", str(other),
-            "--items", "2", "--bins", "8", "--frames", "16", "--patch-frames", "8",
-            "--hidden", "8", "--epochs", "1", "--steps-per-epoch", "2", "--seed", "0",
+            "--patch-frames", "8", "--hidden", "8", "--epochs", "1", "--steps-per-epoch", "2",
+            "--seed", "0",
         ]
     )
     assert rc == cli.EXIT_OK
@@ -162,8 +162,7 @@ def test_train_resume_keeps_the_checkpoint_schedule_and_sizes(gamma2_ckpt, tmp_p
     rc = cli.main(
         [
             "train", "--synthetic", "--resume", str(gamma2_ckpt), "--out", str(out),
-            "--items", "2", "--bins", "8", "--frames", "16", "--patch-frames", "8",
-            "--epochs", "1", "--steps-per-epoch", "2",
+            "--patch-frames", "8", "--epochs", "1", "--steps-per-epoch", "2",
         ]
     )
     assert rc == cli.EXIT_OK
@@ -196,10 +195,16 @@ def _write_noisy(tmp_path, n=2000, rate=16000, seed=3):
     return noisy_path, clean_path
 
 
-FAST_ENHANCE = [
-    "--em-iters", "1", "--reverse-steps", "4", "--batch", "1",
-    "--window-len", "64", "--hop", "16",
-]
+FAST_ENHANCE = ["--em-iters", "1", "--window-len", "64", "--hop", "16"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _load_strict_json(path):
+    """path's JSON, parsed as jq or JavaScript would: NaN and Infinity are errors."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_enhance_with_metrics_and_report(tiny_ckpt, tmp_path, capsys):
@@ -220,8 +225,25 @@ def test_enhance_with_metrics_and_report(tiny_ckpt, tmp_path, capsys):
     assert out_path.exists()
     enhanced = signal.load_wav(out_path)
     assert len(enhanced) == len(signal.load_wav(noisy_path))
-    payload = json.loads(rep_path.read_text())
+    payload = _load_strict_json(rep_path)
     assert set(payload) == {"si_sdr_db", "input_si_sdr_db", "delta_db"}
+
+
+def test_enhance_orthogonal_reference_reports_the_floor_as_strict_json(tiny_ckpt, tmp_path,
+                                                                       capsys):
+    # the input's projection onto the reference is zero, so its SI-SDR is the
+    # -140 dB floor, which strict JSON can hold and an infinity it cannot
+    noisy_path, clean_path = tmp_path / "noisy.wav", tmp_path / "clean.wav"
+    signal.save_wav(noisy_path, signal.Waveform(0.25 * np.tile([1.0, 0.0], 1000), 16000))
+    signal.save_wav(clean_path, signal.Waveform(0.25 * np.tile([0.0, 1.0], 1000), 16000))
+    rep_path = tmp_path / "report.json"
+    assert cli.main(["enhance", "--input", str(noisy_path), "--ckpt", str(tiny_ckpt),
+                     "--output", str(tmp_path / "o.wav"), "--clean", str(clean_path),
+                     "--report", str(rep_path), *FAST_ENHANCE]) == cli.EXIT_OK
+    assert "input_si_sdr_db=-140.0000" in capsys.readouterr().out.splitlines()
+    payload = _load_strict_json(rep_path)
+    assert payload["input_si_sdr_db"] == -metrics.SI_SDR_CAP
+    assert payload["delta_db"] == payload["si_sdr_db"] + metrics.SI_SDR_CAP
 
 
 def test_enhance_report_text_is_pinned(tmp_path, monkeypatch, capsys):
@@ -336,7 +358,7 @@ def test_enhance_takes_its_schedule_from_the_checkpoint(gamma2_ckpt, tmp_path, c
     assert sched.gamma == 2.0
     expected = enhance_waveform(signal.load_wav(noisy_path), model, sched,
                                 signal.StftConfig(window_len=64, hop=16),
-                                EnhancementConfig(em_iters=1, reverse_steps=4, batch=1))
+                                EnhancementConfig(em_iters=1))
     expected_path = tmp_path / "expected.wav"
     signal.save_wav(expected_path, expected)
     assert np.array_equal(signal.load_wav(out_path).samples, signal.load_wav(expected_path).samples)
@@ -494,7 +516,7 @@ def test_benchmark_synthetic_deterministic(tiny_ckpt, tmp_path, capsys):
     assert cli.main(args + ["--report", str(rep_b), "--jobs", "2"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "aggregate over 1:" in out
-    a, b = json.loads(rep_a.read_text()), json.loads(rep_b.read_text())
+    a, b = _load_strict_json(rep_a), _load_strict_json(rep_b)
     assert a == b  # thread count must not change results
     assert a["aggregate"]["count"] == 1
     assert a["files"][0]["file"] == "synthetic-000@+0dB"
@@ -505,18 +527,6 @@ def test_benchmark_labels_keep_fractional_snrs(tiny_ckpt, capsys):
                      "--frames", "16", "--snrs=0.5,2.5", *FAST_ENHANCE]) == cli.EXIT_OK
     labels = re.findall(r"^(\S+): in ", capsys.readouterr().out, re.M)
     assert labels == ["synthetic-000@+0.5dB", "synthetic-000@+2.5dB"]
-
-
-def test_benchmark_synthetic_speech_does_not_depend_on_reverse_steps(tiny_ckpt, capsys):
-    # the clean utterances are prior samples at the prior sampler's own N;
-    # --reverse-steps sets only the enhancer's
-    args = ["benchmark", "--ckpt", str(tiny_ckpt), "--synthetic", "--utterances", "2",
-            "--frames", "16", "--snrs=-5,5", "--seed", "4", *FAST_ENHANCE]
-    inputs = []
-    for steps in ("4", "6"):
-        assert cli.main(args + ["--reverse-steps", steps]) == cli.EXIT_OK
-        inputs.append(re.findall(r"^(\S+): in (\S+) dB", capsys.readouterr().out, re.M))
-    assert len(inputs[0]) == 4 and inputs[0] == inputs[1]
 
 
 def test_benchmark_requires_source(tiny_ckpt, capsys):
@@ -575,8 +585,7 @@ def test_benchmark_wav_dirs(tiny_ckpt, tmp_path, capsys):
 
 
 _FAST_SAMPLE = "--frames 8 --reverse-steps 2 --window-len 64 --hop 16"
-_FAST_TRAIN = ("--synthetic --items 1 --bins 4 --frames 8 --patch-frames 8 "
-               "--hidden 4 --epochs 1 --steps-per-epoch 1")
+_FAST_TRAIN = "--synthetic --patch-frames 8 --hidden 4 --epochs 1 --steps-per-epoch 1"
 _FAST = " ".join(FAST_ENHANCE)
 
 # (id, argv, what the error names); {gone} is a directory that does not exist,
@@ -875,9 +884,8 @@ def test_enhance_with_nonfinite_checkpoint_is_io_error(tiny_ckpt, tmp_path, caps
                          ids=["loss", "weights"])
 def test_training_divergence_is_numeric_error(steps, cause, tmp_path, capsys):
     rc = cli.main(
-        ["train", "--synthetic", "--items", "1", "--bins", "4", "--frames", "8",
-         "--patch-frames", "8", "--hidden", "4", "--epochs", "1", "--steps-per-epoch", steps,
-         "--lr", "1e39", "--out", str(tmp_path / "t.bin")]
+        ["train", "--synthetic", "--patch-frames", "8", "--hidden", "4", "--epochs", "1",
+         "--steps-per-epoch", steps, "--lr", "1e39", "--out", str(tmp_path / "t.bin")]
     )
     assert rc == cli.EXIT_NUMERIC
     (line,) = capsys.readouterr().err.splitlines()  # no numpy warnings besides the error
@@ -946,8 +954,7 @@ def test_rank_above_frame_count_is_rejected_before_enhancing(command, tiny_ckpt,
     else:
         argv = ["benchmark", "--clean-dir", str(tmp_path), "--noise-dir", str(tmp_path),
                 "--report", str(out_path)]
-    rc = cli.main(argv + ["--ckpt", str(tiny_ckpt), "--em-iters", "1", "--reverse-steps", "4",
-                          "--batch", "1"])
+    rc = cli.main(argv + ["--ckpt", str(tiny_ckpt), "--em-iters", "1"])
     assert rc == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "--nmf-rank 4" in err and "1 STFT frame(s)" in err
@@ -958,9 +965,7 @@ def test_rank_above_frame_count_is_rejected_before_enhancing(command, tiny_ckpt,
 NOTHING_TO_DO_CASES = [
     ("train --patch-frames 0", "train " + _FAST_TRAIN + " --patch-frames 0 --out {out}",
      "--patch-frames"),
-    ("train --bins 0", "train " + _FAST_TRAIN + " --bins 0 --out {out}", "--bins"),
     ("train --batch 0", "train " + _FAST_TRAIN + " --batch 0 --out {out}", "--batch"),
-    ("train --items 0", "train " + _FAST_TRAIN + " --items 0 --out {out}", "--items"),
     ("benchmark --utterances 0", "benchmark --ckpt {ckpt} --synthetic --utterances 0 "
      "--frames 16 --snrs 0 --report {out} " + _FAST, "--utterances"),
     ("sample --frames 0", "sample --ckpt {ckpt} --output {out} --frames 0 --reverse-steps 2 "
@@ -990,6 +995,11 @@ NOTHING_TO_DO_CASES = [
      + " --em-iters 0", "--em-iters"),
     ("enhance --hop 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --hop 0", "--hop"),
+    # past half the window a round trip zeroes samples or falls short of the end;
+    # {out}.wav names no file, so a command that read its input would exit 3
+    *((f"enhance --window-len 64 --hop {hop}", "enhance --input {out}.wav --ckpt {ckpt} "
+       f"--output {{out}} --window-len 64 --hop {hop}", f"--hop {hop} with --window-len 64")
+      for hop in (63, 64)),
     # flags match exactly, so an abbreviation is an unknown flag
     ("enhance --em-it 1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --em-it 1", "--em-it"),
@@ -1034,6 +1044,17 @@ NOTHING_TO_DO_CASES = [
      "--output {out} --nmf-updates 5", "unrecognized arguments: --nmf-updates 5"),
     ("benchmark --nmf-updates (removed)", "benchmark --ckpt {out}.ckpt --synthetic "
      "--report {out} --nmf-updates 5", "unrecognized arguments: --nmf-updates 5"),
+    # the enhancer's chains are EnhancementConfig's b = 4 of N = 20 steps
+    *((f"enhance {flag} (removed)", "enhance --input {out}.wav --ckpt {out}.ckpt "
+       f"--output {{out}} {flag}", f"unrecognized arguments: {flag}")
+      for flag in ("--batch 2", "--reverse-steps 4")),
+    *((f"benchmark {flag} (removed)", "benchmark --ckpt {out}.ckpt --synthetic "
+       f"--report {{out}} {flag}", f"unrecognized arguments: {flag}")
+      for flag in ("--batch 2", "--reverse-steps 4")),
+    # --synthetic draws the reference corpus, 64 grids of 16 x 64
+    *((f"train {flag} (removed)", f"train --synthetic {flag} --out {{out}}",
+       f"unrecognized arguments: {flag}")
+      for flag in ("--items 2", "--bins 8", "--frames 16")),
     # --synthetic is a switch and takes no value
     ("train --synthetic gaussian", "train --synthetic gaussian --out {out}",
      "unrecognized arguments: gaussian"),

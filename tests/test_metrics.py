@@ -42,12 +42,14 @@ def test_orthogonal_noise_is_exact():
         assert abs(got - target_db) < 1e-9
 
 
-def test_negative_infinity_when_estimate_orthogonal():
+def test_floor_when_estimate_orthogonal():
     ref = wf([1.0, 1.0, 0.0, 0.0])
     est = wf([1.0, -1.0, 0.0, 0.0])
-    assert si_sdr(est, ref) == -math.inf
+    assert si_sdr(est, ref) == -SI_SDR_CAP
     # silence is orthogonal too, though its residual is zero, not the cap's case
-    assert si_sdr(wf(np.zeros(4)), ref) == -math.inf
+    assert si_sdr(wf(np.zeros(4)), ref) == -SI_SDR_CAP
+    # a target part that underflows against the residual is the floor too
+    assert si_sdr(wf([1e-160, 100.0, 0.0, 0.0]), wf([1.0, 0.0, 0.0, 0.0])) == -SI_SDR_CAP
 
 
 def test_errors():
@@ -90,4 +92,13 @@ def test_write_report_roundtrip(tmp_path):
     loaded = json.loads(out.read_text())
     assert loaded["aggregate"]["count"] == 1
     assert loaded["files"][0]["si_sdr_db"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_write_report_refuses_non_finite_values_and_writes_nothing(bad, tmp_path):
+    # strict JSON has no NaN or Infinity, which jq and JavaScript reject
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_report(out, report(bad, 0.0))
+    assert not out.exists()
 

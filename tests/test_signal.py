@@ -39,6 +39,12 @@ def test_stft_config_validation():
         StftConfig(window_len=510, hop=0)
     with pytest.raises(ValueError):
         StftConfig(window_len=510, hop=511)
+    # past window_len // 2 a round trip zeroes samples or comes up short of the
+    # signal's end; window_len 1 leaves no hop at all
+    for window_len, hop in [(64, 33), (64, 64), (65, 33), (1, 1)]:
+        with pytest.raises(ValueError, match=rf"hop {hop} with window_len {window_len}"):
+            StftConfig(window_len=window_len, hop=hop)
+    assert StftConfig(window_len=65, hop=32).hop == 32
     with pytest.raises(ValueError):
         StftConfig(compress_alpha=0.0)
     for beta in (-1.0, np.nan, np.inf):
@@ -83,6 +89,18 @@ def test_stft_roundtrip_odd_lengths(n):
     w = _chirpish(n, seed=n)
     back = signal.istft(signal.stft(w, cfg), cfg, n)
     assert np.max(np.abs(back.samples - w.samples)) < 1e-6
+
+
+def test_stft_roundtrip_at_every_allowed_hop():
+    rng = np.random.default_rng(5)
+    for window_len in range(2, 25):
+        for hop in range(1, window_len // 2 + 1):
+            cfg = StftConfig(window_len=window_len, hop=hop, compress_alpha=1.0,
+                             compress_beta=1.0)
+            for n in (1, 2, 7, 31, 100):
+                w = Waveform(rng.standard_normal(n), 16000)
+                back = signal.istft(signal.stft(w, cfg), cfg, n)
+                assert np.max(np.abs(back.samples - w.samples)) < 1e-9, (window_len, hop, n)
 
 
 def test_roundtrip_is_linear_in_scale():
