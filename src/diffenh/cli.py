@@ -37,6 +37,9 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
 
+# the RMS level of the WAV that sample --output writes: -26 dBFS
+SAMPLE_RMS = 10.0 ** (-26.0 / 20.0)
+
 
 class _UsageError(Exception):
     """A usage error; main prints it under the usage line of parser, by default
@@ -75,8 +78,6 @@ def _add_stft_flags(p):
     p.add_argument("--hop", type=int, default=S.hop, help="hop length in samples")
     p.add_argument("--alpha", dest="compress_alpha", metavar="ALPHA", type=float,
                    default=S.compress_alpha, help="amplitude compression exponent")
-    p.add_argument("--beta", dest="compress_beta", metavar="BETA", type=float,
-                   default=S.compress_beta, help="amplitude compression scale")
 
 
 def _add_enhance_flags(p):
@@ -241,7 +242,8 @@ def _load_wav(path) -> signal.Waveform:
 
 
 def _load_audible(flag, path) -> signal.Waveform:
-    """A reference or noise WAV; with no power, SI-SDR and mixing are undefined."""
+    """A WAV that needs power: without it, SI-SDR, mixing and training's
+    unit-power scaling are undefined."""
     w = _load_wav(path)
     if not np.any(w.samples):
         raise _UsageError(f"{flag}: {path} is silent (every sample is zero)")
@@ -295,7 +297,9 @@ def cmd_train(args) -> int:
         # the reference prior's corpus: 64 unit-Gaussian grids of 16 bins x 64 frames
         dataset = [sde.complex_randn((16, 64), rng) for _ in range(64)]
     else:
-        dataset = [signal.stft(_load_wav(path), stft_cfg) for path in _wav_files(args.data)]
+        grids = (signal.stft(_load_audible("--data", p), stft_cfg) for p in _wav_files(args.data))
+        # each grid at unit mean power, the prior's scale, whatever its WAV's level
+        dataset = [d / signal.rms(d) for d in grids]
     frames = min(d.shape[1] for d in dataset)
     cfg = dataclasses.replace(cfg, patch_frames=min(cfg.patch_frames, frames))
     model, history = score.train(model, dataset, cfg, model.sched)
@@ -342,14 +346,21 @@ def cmd_sample(args) -> int:
     model, sched = _read(score.load_checkpoint, args.ckpt)
     rng = np.random.default_rng(args.seed)
     spec = unconditional_sample((stft_cfg.f_bins, args.frames), model, sched, scfg, rng)
+    # the waveform is made before anything is written, so a numeric failure writes nothing
+    if args.output:
+        raw = signal.istft(spec, stft_cfg, (args.frames - 1) * stft_cfg.hop)
+        level = signal.rms(raw.samples)
+        if level == 0.0:
+            raise FloatingPointError("the prior sample's waveform has no power, "
+                                     "so there is no level to write it at")
+        wave = signal.Waveform(raw.samples / level * SAMPLE_RMS, raw.sample_rate)
     if args.dump_spec:
         # a path would get .npy appended; a file object is written as named
         with open(args.dump_spec, "wb") as fh:
             np.save(fh, spec)
         print(f"wrote {args.dump_spec}")
     if args.output:
-        out_len = (args.frames - 1) * stft_cfg.hop
-        _save_wav(args.output, signal.istft(spec, stft_cfg, out_len))
+        _save_wav(args.output, wave)
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ callers then run more chain threads than there are cores.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -40,7 +41,7 @@ import numpy as np
 from .noise_nmf import NmfParams, init_nmf, is_objective, m_step
 from .sampler import SamplerConfig, posterior_sample, unconditional_sample
 from .sde import SdeSchedule
-from .signal import StftConfig, Waveform, istft, stft
+from .signal import StftConfig, Waveform, istft, rms, stft
 
 
 def _usable_cpus() -> int:
@@ -115,13 +116,14 @@ def enhance_spectrogram(
     sched: SdeSchedule,
     cfg: EnhancementConfig,
 ) -> EnhancementResult:
-    """Run the EM loop on a mixture spectrogram.
+    """Run the EM loop on a mixture spectrogram at the prior's scale.
 
-    An all-zero mixture holds neither speech nor noise to fit: the estimate
-    is all zeros, the noise factors sit at their floor and no iteration runs
-    (the trace is empty).  A nonzero mixture whose power underflows to zero,
-    as a tiny amplitude compression scale makes it, or whose squared power
-    overflows, as a huge one makes it, is a FloatingPointError.
+    The prior models grids of unit mean power, so x is expected near that
+    scale, as enhance_waveform puts it; the loop itself applies no gain.  An
+    all-zero mixture holds neither speech nor noise to fit: the estimate is
+    all zeros, the noise factors sit at their floor and no iteration runs (the
+    trace is empty).  A nonzero mixture whose power underflows to zero, or
+    whose squared power overflows, is a FloatingPointError.
     """
     f_bins, t_frames = x.shape
     if not np.any(x):
@@ -133,12 +135,12 @@ def enhance_spectrogram(
         mean_power = float(np.mean(power))
     if mean_power == 0.0:
         raise FloatingPointError("the mixture's compressed power underflows to zero: "
-                                 "the amplitude compression scales it below float64 range")
+                                 "the grid lies below float64 range")
     peak = float(np.max(power))
     # the M-step squares noise variances of the power's size
     if not np.isfinite(peak * peak):
-        raise FloatingPointError("the mixture's compressed power overflows: the amplitude "
-                                 "compression scales its square beyond float64 range")
+        raise FloatingPointError("the mixture's compressed power overflows: the grid "
+                                 "lies so high that its square exceeds float64 range")
     params = init_nmf(f_bins, t_frames, cfg.nmf_rank, mean_power, seed=cfg.seed)
     # before any signal estimate exists the mixture itself is the best noise
     # bound, so fit the factors to its power (an M-step at s_hat = 0); the first
@@ -167,10 +169,25 @@ def enhance_waveform(
     stft_cfg: StftConfig,
     cfg: EnhancementConfig,
 ) -> Waveform:
-    """stft, spectrogram enhancement, istft back at the original length."""
+    """stft, spectrogram enhancement at the prior's scale, istft back at the
+    original length.
+
+    The prior models grids of unit mean power, so the compressed mixture x is
+    divided in place by g = sqrt(mean|x|^2 / 2), the level at which speech and
+    noise of equal power each have unit power, before enhance_spectrogram; the
+    estimate is multiplied in place by g before istft.  So enhancing c * noisy
+    gives c times the enhancement of noisy, to rounding, for any c > 0 and any
+    compress_beta.  An all-zero or non-finite x keeps g = 1: silence then
+    gives silence, and enhance_spectrogram rejects a non-finite grid.
+    """
     x = stft(noisy, stft_cfg)
-    result = enhance_spectrogram(x, model, sched, cfg)
-    return istft(result.s_hat, stft_cfg, len(noisy), sample_rate=noisy.sample_rate)
+    g = rms(x) / math.sqrt(2.0)
+    if not 0.0 < g < math.inf:
+        g = 1.0
+    x /= g
+    s_hat = enhance_spectrogram(x, model, sched, cfg).s_hat
+    s_hat *= g
+    return istft(s_hat, stft_cfg, len(noisy), sample_rate=noisy.sample_rate)
 
 
 def synth_clean_waveform(

@@ -120,7 +120,8 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int, sample_rate: int = 16
     out_len is the original sample count; the window_len//2 analysis padding
     is stripped.  Raises ValueError if the spectrogram does not cover out_len
     samples or the bin count does not match cfg, and FloatingPointError if
-    undoing the compression overflows, as a tiny alpha or beta makes it.
+    undoing the compression overflows, or underflows a nonzero spectrogram to
+    silence, as a tiny alpha or beta makes it.
     """
     if spec.ndim != 2 or spec.shape[0] != cfg.f_bins:
         raise ValueError(f"istft: expected {cfg.f_bins} bins, got shape {spec.shape}")
@@ -132,10 +133,12 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int, sample_rate: int = 16
     win = _window(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         raw = np.fft.irfft(decompress(spec, cfg).T, n=cfg.window_len, axis=1)
+    undo = (f"istft: undoing the amplitude compression (alpha {cfg.compress_alpha:g}, "
+            f"beta {cfg.compress_beta:g})")
     if not np.isfinite(raw).all():
-        raise FloatingPointError(
-            f"istft: undoing the amplitude compression (alpha {cfg.compress_alpha:g}, "
-            f"beta {cfg.compress_beta:g}) overflows to non-finite samples")
+        raise FloatingPointError(f"{undo} overflows to non-finite samples")
+    if not raw.any() and spec.any():
+        raise FloatingPointError(f"{undo} underflows a nonzero spectrogram to silence")
     out = np.zeros(total)
     norm = np.zeros(total)
     for m in range(frames):
@@ -145,6 +148,16 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int, sample_rate: int = 16
     # with hop <= window_len // 2 every output sample has a positive window sum
     span = slice(pad, pad + out_len)
     return Waveform(out[span] / norm[span], sample_rate)
+
+
+def rms(a: np.ndarray) -> float:
+    """sqrt(mean |a|**2) of a real or complex array, with no overflow or underflow
+    on the way: it is 0 only for an all-zero array, and finite for a finite one."""
+    peak = float(np.max(np.abs(a)))
+    if not 0.0 < peak < math.inf:
+        return peak
+    a = a / peak
+    return peak * math.sqrt(np.vdot(a, a).real / a.size)
 
 
 def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float, seed: int = 0):

@@ -174,6 +174,28 @@ def test_train_resume_keeps_the_checkpoint_schedule_and_sizes(gamma2_ckpt, tmp_p
     assert after_sched == before_sched == sde.SdeSchedule(gamma=2.0)
 
 
+def test_train_data_scales_each_grid_to_unit_power(tmp_path, capsys):
+    # the prior's scale is the grid's own, so the WAVs' level does not reach the net
+    from diffenh import score
+
+    rng = np.random.default_rng(2)
+    utterances = [rng.standard_normal(800) for _ in range(2)]
+    ckpts = []
+    for level in (2.0 ** -3, 2.0 ** -10):
+        data = tmp_path / f"data{level}"
+        data.mkdir()
+        for i, samples in enumerate(utterances):
+            signal.save_wav(data / f"u{i}.wav", signal.Waveform(level * samples, 16000))
+        ckpts.append(tmp_path / f"{level}.ckpt")
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpts[-1]), "--hidden", "4",
+                         "--epochs", "1", "--steps-per-epoch", "3", "--patch-frames", "8",
+                         "--window-len", "64", "--hop", "16"]) == cli.EXIT_OK
+    losses = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("epoch")]
+    assert len(losses) == 2 and losses[0] == losses[1]
+    (a, _), (b, _) = map(score.load_checkpoint, ckpts)
+    np.testing.assert_allclose(a.theta, b.theta, rtol=1e-5, atol=1e-7)
+
+
 def test_train_without_data_source_is_usage_error(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path / "x.bin")])
     assert rc == cli.EXIT_USAGE
@@ -388,8 +410,23 @@ def test_sample_writes_wav_and_dump(tiny_ckpt, tmp_path, capsys):
                                      np.random.default_rng(0))
     spec = np.load(dump_path)
     assert spec.dtype == np.complex128 and spec.tobytes() == expected.tobytes()
-    assert len(signal.load_wav(wav_path)) == 7 * 16
+    wav = signal.load_wav(wav_path).samples
+    assert len(wav) == 7 * 16
+    # written at -26 dBFS RMS, to float32 rounding
+    assert np.sqrt(np.mean(wav ** 2)) == pytest.approx(10 ** (-26 / 20), rel=1e-6)
     capsys.readouterr()
+
+
+def test_sample_without_power_is_numeric_error(tiny_ckpt, tmp_path, monkeypatch, capsys):
+    # a silent waveform has no level to be written at, and the dump is not written either
+    monkeypatch.setattr(cli, "unconditional_sample", lambda shape, *args: np.zeros(shape, complex))
+    out_path, dump_path = tmp_path / "s.wav", tmp_path / "s.npy"
+    rc = cli.main(["sample", "--ckpt", str(tiny_ckpt), "--output", str(out_path),
+                   "--dump-spec", str(dump_path), *_FAST_SAMPLE.split()])
+    assert rc == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == ("diffenh: error: the prior sample's waveform has no power, "
+                                       "so there is no level to write it at\n")
+    assert not out_path.exists() and not dump_path.exists()
 
 
 def test_sample_requires_some_output(tiny_ckpt, capsys):
@@ -838,14 +875,28 @@ def test_benchmark_silent_file_is_rejected_before_enhancing(flag, tiny_ckpt, tmp
     assert not report.exists()
 
 
+def _readme_commands(text):
+    """The arguments after `diffenh` of each command line in text's fenced code
+    blocks, with backslash continuations joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(ln, comments=True)[1:] for ln in lines if ln.startswith("diffenh ")]
+
+
 def test_readme_commands_parse():
-    # every documented invocation must survive the parse-time flag checks
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    lines = readme.replace("\\\n", " ").splitlines()
-    commands = [shlex.split(ln, comments=True) for ln in lines if ln.startswith("diffenh ")]
+    # every documented invocation parses, each flag on a command that has it
+    commands = _readme_commands((Path(__file__).parents[1] / "README.md").read_text())
     assert len(commands) >= 6
     for argv in commands:
-        assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_command_check_catches_a_flag_on_the_wrong_command():
+    # --snrs is benchmark's, on a continuation line that the flag-union test cannot place
+    text = "text\n```\ndiffenh sample --ckpt p.ckpt --output s.wav \\\n    --snrs=0\n```\n"
+    (argv,) = _readme_commands(text)
+    with pytest.raises(cli._UsageError, match=r"^unrecognized arguments: --snrs=0$"):
+        cli.build_parser().parse_args(argv)
 
 
 def test_readme_documents_exactly_the_parser_flags():
@@ -893,27 +944,11 @@ def test_training_divergence_is_numeric_error(steps, cause, tmp_path, capsys):
     assert not (tmp_path / "t.bin").exists()
 
 
-# (id, argv); {out} is the one file the command may write.  A tiny compression
-# scale underflows the mixture's compressed power to zero, and a tiny alpha or
-# beta overflows the decompression of a spectrogram to non-finite samples.  A
-# huge beta overflows the square of the mixture's compressed power, or
-# underflows the decompressed prior sample that benchmark mixes
+# (id, argv); {out} is the one file the command may write.  A tiny alpha
+# overflows the decompression of the enhanced spectrogram to non-finite samples
 COMPRESSION_RANGE_CASES = [
-    ("enhance --beta 1e-200", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
-     "--beta 1e-200 " + _FAST),
     ("enhance --alpha 1e-300", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
      "--alpha 1e-300 " + _FAST),
-    ("sample --beta 1e-300", "sample --ckpt {ckpt} --output {out} --beta 1e-300 " + _FAST_SAMPLE),
-    ("benchmark --beta 1e-300", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
-     "--snrs 0 --report {out} --beta 1e-300 " + _FAST),
-    ("enhance --beta 1e300", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
-     "--beta 1e300 " + _FAST),
-    ("enhance --beta 1e100", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
-     "--beta 1e100 " + _FAST),
-    ("benchmark --beta 1e300", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
-     "--snrs 0 --report {out} --beta 1e300 " + _FAST),
-    ("benchmark --beta 1e160", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
-     "--snrs 0 --report {out} --beta 1e160 " + _FAST),
 ]
 
 
@@ -1008,8 +1043,6 @@ NOTHING_TO_DO_CASES = [
     ("train --seed -1", "train " + _FAST_TRAIN + " --seed -1 --out {out}", "--seed"),
     # inf passes a lower bound
     ("train --lr inf", "train " + _FAST_TRAIN + " --lr inf --out {out}", "--lr"),
-    ("enhance --beta nan", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
-     + " --beta nan", "--beta"),
     ("sample --reverse-steps 0", "sample --ckpt {ckpt} --dump-spec {out} --frames 4 "
      "--reverse-steps 0", "--reverse-steps"),
     ("benchmark --synthetic --em-iters 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
@@ -1044,6 +1077,13 @@ NOTHING_TO_DO_CASES = [
      "--output {out} --nmf-updates 5", "unrecognized arguments: --nmf-updates 5"),
     ("benchmark --nmf-updates (removed)", "benchmark --ckpt {out}.ckpt --synthetic "
      "--report {out} --nmf-updates 5", "unrecognized arguments: --nmf-updates 5"),
+    # every command works at the prior's grid scale, computed from the data
+    *((f"{command} --beta (removed)", f"{command} {args} --beta 0.3",
+       "unrecognized arguments: --beta 0.3")
+      for command, args in (("train", "--data {out}.d --out {out}"),
+                            ("enhance", "--input {out}.wav --ckpt {out}.ckpt --output {out}"),
+                            ("sample", "--ckpt {out}.ckpt --output {out}"),
+                            ("benchmark", "--ckpt {out}.ckpt --synthetic --report {out}"))),
     # the enhancer's chains are EnhancementConfig's b = 4 of N = 20 steps
     *((f"enhance {flag} (removed)", "enhance --input {out}.wav --ckpt {out}.ckpt "
        f"--output {{out}} {flag}", f"unrecognized arguments: {flag}")
@@ -1062,7 +1102,7 @@ NOTHING_TO_DO_CASES = [
 
 # the same, for a WAV with no samples or no power, rejected once read and before
 # any STFT; {empty} is a directory that holds empty.wav (no samples) and
-# silent.wav (2000 zeros)
+# silent.wav (2000 zeros), and {silent} one that holds only silent.wav
 EMPTY_WAV_CASES = [
     ("enhance --input empty.wav", "enhance --input {empty}/empty.wav --ckpt {ckpt} "
      "--output {out} " + _FAST, "{empty}/empty.wav"),
@@ -1071,18 +1111,23 @@ EMPTY_WAV_CASES = [
      "--ckpt {ckpt} --output {out} " + _FAST, "--input: {empty}/silent.wav is silent"),
     ("train --data with an empty WAV", "train --data {empty} --steps-per-epoch 1 --out {out}",
      "{empty}/empty.wav"),
+    # training scales each grid to unit mean power, which a silent one does not have
+    ("train --data with a silent WAV", "train --data {silent} --steps-per-epoch 1 --out {out}",
+     "--data: {silent}/silent.wav is silent"),
 ]
 
 
 @pytest.mark.parametrize("argv,flag", [c[1:] for c in NOTHING_TO_DO_CASES + EMPTY_WAV_CASES],
                          ids=[c[0] for c in NOTHING_TO_DO_CASES + EMPTY_WAV_CASES])
 def test_inputs_that_produce_nothing_are_usage_errors(argv, flag, tiny_ckpt, tmp_path, capsys):
-    out, empty = tmp_path / "out", tmp_path / "empty"
+    out, empty, silent = tmp_path / "out", tmp_path / "empty", tmp_path / "silent"
     empty.mkdir()
+    silent.mkdir()
     signal.save_wav(empty / "empty.wav", signal.Waveform(np.zeros(0), 16000))
-    signal.save_wav(empty / "silent.wav", signal.Waveform(np.zeros(2000), 16000))
+    for directory in (empty, silent):
+        signal.save_wav(directory / "silent.wav", signal.Waveform(np.zeros(2000), 16000))
     noisy, _ = _write_noisy(tmp_path)
-    paths = {"out": out, "ckpt": tiny_ckpt, "noisy": noisy, "empty": empty}
+    paths = {"out": out, "ckpt": tiny_ckpt, "noisy": noisy, "empty": empty, "silent": silent}
     rc = cli.main([tok.format(**paths) for tok in argv.split()])
     assert rc == cli.EXIT_USAGE
     # the error line: the usage line above it lists every flag
@@ -1138,10 +1183,13 @@ def test_enhance_non_finite_input_is_io_error_naming_the_path(bad, tiny_ckpt, tm
     assert not out_path.exists()
 
 
-def _enhance_noise_args(tmp_path):
-    path = tmp_path / "noise.wav"
-    signal.save_wav(path, signal.Waveform(0.3 * np.random.default_rng(3).standard_normal(2000),
-                                          16000))
+def _enhance_loud_args(tmp_path):
+    # a float32 WAV may hold samples beyond full scale, and the output keeps the input's level
+    from scipy.io import wavfile
+
+    path = tmp_path / "loud.wav"
+    samples = 3.0 * np.random.default_rng(3).standard_normal(2000)
+    wavfile.write(path, 16000, samples.astype(np.float32))
     return ["enhance", "--input", str(path), *FAST_ENHANCE]
 
 
@@ -1156,11 +1204,10 @@ SAMPLE_ARGS = ["sample", "--frames", "8", "--reverse-steps", "4", "--window-len"
 
 # (id, argv builder, whether the tiny prior's output exceeds [-1, 1])
 CLIP_CASES = [
-    ("enhance loud", _enhance_noise_args, True),
+    ("enhance loud", _enhance_loud_args, True),
     ("enhance silent", _enhance_silence_args, False),
-    ("sample loud", lambda tmp_path: SAMPLE_ARGS, True),
-    # no compression and a large beta scale the sample far below full scale
-    ("sample quiet", lambda tmp_path: SAMPLE_ARGS + ["--alpha", "1", "--beta", "100"], False),
+    # the sample is written at -26 dBFS RMS, far below full scale
+    ("sample", lambda tmp_path: SAMPLE_ARGS, False),
 ]
 
 

@@ -86,6 +86,41 @@ def test_enhance_waveform_preserves_length_and_rate(sched):
     assert np.all(np.isfinite(out.samples))
 
 
+# (level c, compression scale beta): the enhancement of c * y at beta, against c
+# times that of y at the default 0.15.  The grid is scaled to the prior's scale
+# by its own power, so neither reaches the output beyond rounding
+LEVEL_CASES = [(c, 0.15) for c in (0.01, 0.1, 10.0, 100.0)] + [(1.0, b) for b in (0.3, 1.0, 1e-3)]
+
+
+@pytest.mark.parametrize("c,beta", LEVEL_CASES, ids=[f"c={c:g},beta={b:g}" for c, b in LEVEL_CASES])
+def test_enhancement_follows_the_input_level(c, beta, sched):
+    rng = np.random.default_rng(11)
+    clean = Waveform(0.3 * np.sin(2 * np.pi * 440 * np.arange(600) / 16000), 16000)
+    y, _ = mix_at_snr(clean, Waveform(rng.standard_normal(600), 16000), 0.0, seed=1)
+    net = ToyScoreNet(hidden=(8,), seed=0, sched=sched)
+    cfg = EnhancementConfig(em_iters=2, batch=2, reverse_steps=4, seed=3)
+
+    def enhance(w, beta):
+        stft_cfg = StftConfig(window_len=64, hop=16, compress_beta=beta)
+        return enhance_waveform(w, net, sched, stft_cfg, cfg).samples
+
+    ref = c * enhance(y, 0.15)
+    out = enhance(Waveform(c * y.samples, y.sample_rate), beta)
+    # measured at most 2.8e-15
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("level,cause", [(1e-170, "underflows"), (1e100, "overflows"),
+                                         (1e160, "overflows")])
+def test_mixture_power_beyond_float_range_is_floating_point_error(level, cause, sched):
+    # |x|^2 underflows to zero at 1e-170; at 1e100 the M-step's square of the
+    # power overflows, and at 1e160 the power itself
+    prior = AnalyticGaussianPrior(mean=np.zeros((5, 7)), var0=1.0, sched=sched)
+    x = level * _mixture((5, 7), 12)
+    with pytest.raises(FloatingPointError, match=f"compressed power {cause}"):
+        enhance_spectrogram(x, prior, sched, EnhancementConfig(em_iters=1, batch=1))
+
+
 def _mixture(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -174,6 +174,15 @@ def test_mix_at_snr_rejects_a_gain_that_is_not_finite_and_positive():
         assert 0 < scale < np.inf
 
 
+@pytest.mark.parametrize("ratio,cause", [(0.5, "underflows"), (2.0, "overflows")])
+def test_istft_beyond_float_range_is_floating_point_error(ratio, cause):
+    # at alpha 1e-4 decompression raises |s| / beta to the power 1e4
+    cfg = StftConfig(window_len=64, hop=16, compress_alpha=1e-4)
+    phase = np.exp(2j * np.pi * np.random.default_rng(0).random((cfg.f_bins, 5)))
+    with pytest.raises(FloatingPointError, match=f"compression .* {cause}"):
+        signal.istft(ratio * cfg.compress_beta * phase, cfg, 64)
+
+
 def test_wav_roundtrip_float32(tmp_path):
     raw = _chirpish(2000)
     w = Waveform(raw.samples / np.max(np.abs(raw.samples)), raw.sample_rate)
