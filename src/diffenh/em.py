@@ -8,6 +8,10 @@ samples the posterior of the clean grid given the mixture and those variances
 E-step is exact.  Chain seeds come from a counter-based split of the master
 seed so results do not depend on execution order.
 
+The loop takes a mixture grid at any level: it runs at the prior's scale,
+x / g (see enhance_spectrogram), so enhance_waveform is stft, the loop and
+istft, with no gain of its own.
+
 At the defaults (K = 5, b = 4, N = 20 reverse steps) an utterance costs
 K b (2N + 1) = 820 score evaluations.  N = 20, not the prior sampler's 30,
 is the fewest of the steps tried (15, 20, 30) at which the posterior chains
@@ -116,32 +120,29 @@ def enhance_spectrogram(
     sched: SdeSchedule,
     cfg: EnhancementConfig,
 ) -> EnhancementResult:
-    """Run the EM loop on a mixture spectrogram at the prior's scale.
+    """Run the EM loop on a mixture spectrogram at any level.
 
-    The prior models grids of unit mean power, so x is expected near that
-    scale, as enhance_waveform puts it; the loop itself applies no gain.  An
-    all-zero mixture holds neither speech nor noise to fit: the estimate is
-    all zeros, the noise factors sit at their floor and no iteration runs (the
-    trace is empty).  A nonzero mixture whose power underflows to zero, or
-    whose squared power overflows, is a FloatingPointError.
+    The prior models grids of unit mean power, so x is divided by
+    g = sqrt(mean|x|^2 / 2), the level at which speech and noise of equal
+    power each have unit power, and the estimate is multiplied by g again.
+    So enhancing c * x gives c times the estimate for x, to rounding, for any
+    c > 0.  The noise factors and the trace describe the loop at the prior's
+    scale, x / g.  An all-zero mixture holds neither speech nor noise to fit:
+    the estimate is all zeros, the noise factors sit at their floor and no
+    iteration runs (the trace is empty).  A mixture holding a non-finite
+    value is a FloatingPointError.
     """
     f_bins, t_frames = x.shape
     if not np.any(x):
         floor = NmfParams(W=np.zeros((f_bins, cfg.nmf_rank)), H=np.zeros((cfg.nmf_rank, t_frames)))
         return EnhancementResult(s_hat=np.zeros(x.shape, dtype=np.complex128), nmf=floor, trace=[])
+    g = rms(x) / math.sqrt(2.0)
+    if not math.isfinite(g):
+        raise FloatingPointError("the mixture grid holds non-finite values")
+    x = x / g  # not in place: the caller's grid stays as it was
     scfg = SamplerConfig(n_steps=cfg.reverse_steps)
-    with np.errstate(over="ignore"):
-        power = np.abs(x) ** 2
-        mean_power = float(np.mean(power))
-    if mean_power == 0.0:
-        raise FloatingPointError("the mixture's compressed power underflows to zero: "
-                                 "the grid lies below float64 range")
-    peak = float(np.max(power))
-    # the M-step squares noise variances of the power's size
-    if not np.isfinite(peak * peak):
-        raise FloatingPointError("the mixture's compressed power overflows: the grid "
-                                 "lies so high that its square exceeds float64 range")
-    params = init_nmf(f_bins, t_frames, cfg.nmf_rank, mean_power, seed=cfg.seed)
+    power = np.abs(x) ** 2
+    params = init_nmf(f_bins, t_frames, cfg.nmf_rank, float(np.mean(power)), seed=cfg.seed)
     # before any signal estimate exists the mixture itself is the best noise
     # bound, so fit the factors to its power (an M-step at s_hat = 0); the first
     # E-step then sees the mixture's spectral structure instead of flat noise
@@ -159,6 +160,7 @@ def enhance_spectrogram(
         params = m_step(power, params, cfg.nmf_inner_updates)
         trace.append({"residual_power": float(np.mean(power)),
                       "m_step_objective": is_objective(power, params)})
+    s_hat *= g
     return EnhancementResult(s_hat=s_hat, nmf=params, trace=trace)
 
 
@@ -169,24 +171,8 @@ def enhance_waveform(
     stft_cfg: StftConfig,
     cfg: EnhancementConfig,
 ) -> Waveform:
-    """stft, spectrogram enhancement at the prior's scale, istft back at the
-    original length.
-
-    The prior models grids of unit mean power, so the compressed mixture x is
-    divided in place by g = sqrt(mean|x|^2 / 2), the level at which speech and
-    noise of equal power each have unit power, before enhance_spectrogram; the
-    estimate is multiplied in place by g before istft.  So enhancing c * noisy
-    gives c times the enhancement of noisy, to rounding, for any c > 0 and any
-    compress_beta.  An all-zero or non-finite x keeps g = 1: silence then
-    gives silence, and enhance_spectrogram rejects a non-finite grid.
-    """
     x = stft(noisy, stft_cfg)
-    g = rms(x) / math.sqrt(2.0)
-    if not 0.0 < g < math.inf:
-        g = 1.0
-    x /= g
     s_hat = enhance_spectrogram(x, model, sched, cfg).s_hat
-    s_hat *= g
     return istft(s_hat, stft_cfg, len(noisy), sample_rate=noisy.sample_rate)
 
 

@@ -189,6 +189,15 @@ class ToyScoreNet:
         self, hidden=DEFAULT_HIDDEN, emb_freqs=DEFAULT_EMB_FREQS, seed=0, dtype=np.float32,
         sched=None,
     ):
+        self._set_shape(hidden, emb_freqs, dtype, sched)
+        rng = np.random.default_rng(seed)
+        self.theta = np.zeros(_n_weights(self.sizes), dtype)
+        for W, _ in self.params:
+            W[...] = rng.standard_normal(W.shape) / math.sqrt(W.shape[0])
+        self.ema_theta = self.theta.copy()
+
+    def _set_shape(self, hidden, emb_freqs, dtype, sched):
+        """Everything but the weights, which __init__ draws and load_checkpoint reads."""
         if any(w < 1 for w in hidden):
             raise ValueError(f"hidden widths must be at least 1, got {tuple(hidden)}")
         self.emb_freqs = np.asarray(emb_freqs, dtype=np.float64)
@@ -197,11 +206,6 @@ class ToyScoreNet:
         self.ema_decay = 0.999
         self.dtype = np.dtype(dtype)
         self.step = 0
-        rng = np.random.default_rng(seed)
-        self.theta = np.zeros(_n_weights(self.sizes), dtype)
-        for W, _ in self.params:
-            W[...] = rng.standard_normal(W.shape) / math.sqrt(W.shape[0])
-        self.ema_theta = self.theta.copy()
 
     @property
     def params(self) -> list:
@@ -507,7 +511,8 @@ def load_checkpoint(path):
     weights = [np.frombuffer(data, "<f4", n, at + _BLOB_COUNT.size) for at in starts]
     if not np.isfinite(weights).all():
         raise ValueError(f"{path}: non-finite parameters")
-    model = ToyScoreNet(hidden=sizes[1:-1], emb_freqs=freqs, dtype=np.float32, sched=sched)
-    model.theta[:], model.ema_theta[:] = weights
+    model = ToyScoreNet.__new__(ToyScoreNet)  # no random weights to overwrite
+    model._set_shape(sizes[1:-1], freqs, np.float32, sched)
+    model.theta, model.ema_theta = (w.astype(np.float32) for w in weights)
     model.ema_decay, model.step = ema_decay, step
     return model, sched

@@ -1,5 +1,7 @@
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -701,6 +703,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     probe = np.array([[0.4 - 1.2j, 2.0 + 0.1j]])
     for t in (0.05, 0.5, 1.0):
         assert np.array_equal(back.evaluate(probe, t), net.evaluate(probe, t))
+
+
+def test_loading_a_checkpoint_draws_no_random_weights(tmp_path):
+    # the loader reads every weight, so it builds the net without the draw of
+    # __init__, whose first use of numpy.random would import it in a fresh process
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ToyScoreNet(seed=3, sched=SCHED), SCHED, path)
+    code = ("import sys, diffenh; diffenh.load_checkpoint(sys.argv[1]); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_checkpoint_stores_schedule_fields(tmp_path):
