@@ -7,6 +7,11 @@ An argument @FILE is replaced by the lines of FILE, one argument per line, so
 flags after it win.  Randomized commands print their seed in the report header
 so every run is reproducible.
 
+Every command computes its grids with one front end, STFT = StftConfig(), and
+sample draws at SamplerConfig(); neither is a flag, so a checkpoint and the
+commands that read it cannot disagree about the grid.  A prior trained at
+another StftConfig is enhanced through the library (em.enhance_waveform).
+
 Input is checked in one order: flags (argparse types and exclusive groups,
 cross-flag rules) and configs (their dataclasses), then the paths the command
 will write (an empty path, a directory or a file in a missing directory exits
@@ -40,6 +45,9 @@ EXIT_INTERNAL = 5
 # the RMS level of the WAV that sample --output writes: -26 dBFS
 SAMPLE_RMS = 10.0 ** (-26.0 / 20.0)
 
+# every command's STFT front end; see the module docstring
+STFT = signal.StftConfig()
+
 
 class _UsageError(Exception):
     """A usage error; main prints it under the usage line of parser, by default
@@ -69,15 +77,6 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(prog):
     # fixed width keeps --help output stable for the golden-file test
     return argparse.ArgumentDefaultsHelpFormatter(prog, width=100)
-
-
-def _add_stft_flags(p):
-    S = signal.StftConfig
-    p.add_argument("--window-len", type=int, default=S.window_len,
-                   help="analysis window length in samples")
-    p.add_argument("--hop", type=int, default=S.hop, help="hop length in samples")
-    p.add_argument("--alpha", dest="compress_alpha", metavar="ALPHA", type=float,
-                   default=S.compress_alpha, help="amplitude compression exponent")
 
 
 def _add_enhance_flags(p):
@@ -138,7 +137,6 @@ def build_parser() -> _Parser:
     p.add_argument("--patch-frames", type=int, default=T.patch_frames,
                    help="frames per training patch")
     p.add_argument("--seed", type=_at_least(0), default=T.seed, help="master seed")
-    _add_stft_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="enhance a noisy WAV file",
@@ -150,7 +148,6 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="write the metric report as JSON here")
     p.add_argument("--seed", type=_at_least(0), default=EnhancementConfig.seed, help="master seed")
     _add_enhance_flags(p)
-    _add_stft_flags(p)
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("sample", help="sample the clean-speech prior unconditionally",
@@ -160,10 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-spec", metavar="FILE",
                    help="write the sampled grid as a NumPy .npy file")
     p.add_argument("--frames", type=_at_least(2), default=128, help="spectrogram frames")
-    p.add_argument("--reverse-steps", dest="n_steps", metavar="REVERSE_STEPS", type=int,
-                   default=SamplerConfig.n_steps, help="reverse sampling steps (N)")
     p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
-    _add_stft_flags(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("benchmark", help="mix, enhance, and report SI-SDR over a corpus",
@@ -182,7 +176,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_at_least(0), default=EnhancementConfig.seed, help="master seed")
     p.add_argument("--report", help="write the aggregate report as JSON here")
     _add_enhance_flags(p)
-    _add_stft_flags(p)
     p.set_defaults(func=cmd_benchmark)
 
     for p in sub.choices.values():
@@ -258,14 +251,14 @@ def _save_wav(path, w: signal.Waveform):
     print(f"wrote {path}")
 
 
-def _check_nmf_rank(rank: int, n_samples: int, what: str, stft_cfg: signal.StftConfig):
+def _check_nmf_rank(rank: int, n_samples: int, what: str):
     """The noise factors cannot have more components than the grid has
     frames or bins; say so before any work is done."""
-    frames = signal.n_frames(n_samples, stft_cfg)
-    if rank > min(frames, stft_cfg.f_bins):
+    frames = signal.n_frames(n_samples, STFT)
+    if rank > min(frames, STFT.f_bins):
         raise _UsageError(
             f"--nmf-rank {rank} is too large for {what}: its {n_samples} samples give "
-            f"{frames} STFT frame(s) x {stft_cfg.f_bins} bins, and the rank may not exceed "
+            f"{frames} STFT frame(s) x {STFT.f_bins} bins, and the rank may not exceed "
             f"either; lower --nmf-rank or use a longer input"
         )
 
@@ -283,7 +276,6 @@ def _wav_files(directory) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(score.TrainConfig, args)
     _check_outputs(args.out)
     print(f"# seed={args.seed}")
@@ -297,7 +289,7 @@ def cmd_train(args) -> int:
         # the reference prior's corpus: 64 unit-Gaussian grids of 16 bins x 64 frames
         dataset = [sde.complex_randn((16, 64), rng) for _ in range(64)]
     else:
-        grids = (signal.stft(_load_audible("--data", p), stft_cfg) for p in _wav_files(args.data))
+        grids = (signal.stft(_load_audible("--data", p), STFT) for p in _wav_files(args.data))
         # each grid at unit mean power, the prior's scale, whatever its WAV's level
         dataset = [d / signal.rms(d) for d in grids]
     frames = min(d.shape[1] for d in dataset)
@@ -313,7 +305,6 @@ def cmd_train(args) -> int:
 def cmd_enhance(args) -> int:
     if args.report is not None and args.clean is None:
         raise _UsageError("--report needs --clean: the report holds metrics against the reference")
-    stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
     _check_outputs(args.output, args.report)
     print(f"# seed={args.seed}")
@@ -325,8 +316,8 @@ def cmd_enhance(args) -> int:
         raise _UsageError(
             f"length mismatch: --input has {len(noisy)} samples, --clean has {len(clean)}"
         )
-    _check_nmf_rank(args.nmf_rank, len(noisy), "--input", stft_cfg)
-    enhanced = enhance_waveform(noisy, model, sched, stft_cfg, cfg)
+    _check_nmf_rank(args.nmf_rank, len(noisy), "--input")
+    enhanced = enhance_waveform(noisy, model, sched, STFT, cfg)
     _save_wav(args.output, enhanced)
     if clean is not None:
         report = metrics.evaluate_pair(noisy, enhanced, clean)
@@ -339,16 +330,14 @@ def cmd_enhance(args) -> int:
 def cmd_sample(args) -> int:
     if args.output is None and args.dump_spec is None:
         raise _UsageError("sample needs --output and/or --dump-spec")
-    stft_cfg = _config(signal.StftConfig, args)
-    scfg = _config(SamplerConfig, args)
     _check_outputs(args.output, args.dump_spec)
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
     rng = np.random.default_rng(args.seed)
-    spec = unconditional_sample((stft_cfg.f_bins, args.frames), model, sched, scfg, rng)
+    spec = unconditional_sample((STFT.f_bins, args.frames), model, sched, SamplerConfig(), rng)
     # the waveform is made before anything is written, so a numeric failure writes nothing
     if args.output:
-        raw = signal.istft(spec, stft_cfg, (args.frames - 1) * stft_cfg.hop)
+        raw = signal.istft(spec, STFT, (args.frames - 1) * STFT.hop)
         level = signal.rms(raw.samples)
         if level == 0.0:
             raise FloatingPointError("the prior sample's waveform has no power, "
@@ -364,13 +353,13 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _benchmark_pairs(args, model, sched, stft_cfg):
+def _benchmark_pairs(args, model, sched):
     """The (label, clean, noise) waveforms of the benchmark grid, as a list."""
     rng = np.random.default_rng(args.seed)
     if args.synthetic:
         pairs = []
         for i in range(args.utterances):
-            clean = synth_clean_waveform(args.frames, model, sched, stft_cfg, rng)
+            clean = synth_clean_waveform(args.frames, model, sched, STFT, rng)
             noise = signal.Waveform(
                 noise_nmf.synth_noise_waveform(len(clean), args.nmf_rank, rng), clean.sample_rate
             )
@@ -385,7 +374,6 @@ def _benchmark_pairs(args, model, sched, stft_cfg):
 def cmd_benchmark(args) -> int:
     if (args.noise_dir is None) != (args.clean_dir is None):
         raise _UsageError("--noise-dir goes with --clean-dir, and only with it")
-    stft_cfg = _config(signal.StftConfig, args)
     cfg = _config(EnhancementConfig, args)
     try:
         snrs = [float(v) for v in args.snrs.split(",")]
@@ -397,22 +385,22 @@ def cmd_benchmark(args) -> int:
                           f"got {args.snrs!r}")
     if args.synthetic:
         # a synthetic utterance has (frames - 1) * hop samples, known before sampling
-        _check_nmf_rank(args.nmf_rank, (args.frames - 1) * stft_cfg.hop,
-                        f"a synthetic utterance of --frames {args.frames}", stft_cfg)
+        _check_nmf_rank(args.nmf_rank, (args.frames - 1) * STFT.hop,
+                        f"a synthetic utterance of --frames {args.frames}")
     _check_outputs(args.report)
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
-    pairs = _benchmark_pairs(args, model, sched, stft_cfg)
+    pairs = _benchmark_pairs(args, model, sched)
     tasks = []
     for label, clean, noise in pairs:
-        _check_nmf_rank(args.nmf_rank, len(clean), label, stft_cfg)
+        _check_nmf_rank(args.nmf_rank, len(clean), label)
         for snr in snrs:
             tasks.append((len(tasks), f"{label}@{snr:+g}dB", clean, noise, snr))
 
     def _run(task):
         index, label, clean, noise, snr = task
         noisy, _ = signal.mix_at_snr(clean, noise, snr, seed=args.seed + index)
-        enhanced = enhance_waveform(noisy, model, sched, stft_cfg,
+        enhanced = enhance_waveform(noisy, model, sched, STFT,
                                     dataclasses.replace(cfg, seed=args.seed + index))
         return metrics.evaluate_pair(noisy, enhanced, clean)
 

@@ -36,9 +36,10 @@ from .sde import SdeSchedule, complex_randn, diffusion_coeff, kernel_moments
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """n_steps is N.  The default of 30 serves prior sampling (`sample` and
-    the clean speech of `benchmark --synthetic`); enhancement takes its N
-    from EnhancementConfig.reverse_steps (20).  The step sweep behind that 20
+    """n_steps is N.  The default of 30 serves prior sampling: `sample` and
+    the clean speech of `benchmark --synthetic` draw at SamplerConfig(), which
+    no flag changes.  Enhancement takes its N from
+    EnhancementConfig.reverse_steps (20).  The step sweep behind that 20
     checked posterior chains only, and the seeded clean utterances that the
     tests and benchmarks score against are prior samples at this N."""
 

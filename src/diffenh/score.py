@@ -185,11 +185,8 @@ class ToyScoreNet:
     their per-layer (W, b) views; writing a view writes the vector.
     """
 
-    def __init__(
-        self, hidden=DEFAULT_HIDDEN, emb_freqs=DEFAULT_EMB_FREQS, seed=0, dtype=np.float32,
-        sched=None,
-    ):
-        self._set_shape(hidden, emb_freqs, dtype, sched)
+    def __init__(self, hidden=DEFAULT_HIDDEN, seed=0, dtype=np.float32, sched=None):
+        self._set_shape(hidden, DEFAULT_EMB_FREQS, dtype, sched)
         rng = np.random.default_rng(seed)
         self.theta = np.zeros(_n_weights(self.sizes), dtype)
         for W, _ in self.params:

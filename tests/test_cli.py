@@ -188,8 +188,8 @@ def test_train_data_scales_each_grid_to_unit_power(tmp_path, capsys):
             signal.save_wav(data / f"u{i}.wav", signal.Waveform(level * samples, 16000))
         ckpts.append(tmp_path / f"{level}.ckpt")
         assert cli.main(["train", "--data", str(data), "--out", str(ckpts[-1]), "--hidden", "4",
-                         "--epochs", "1", "--steps-per-epoch", "3", "--patch-frames", "8",
-                         "--window-len", "64", "--hop", "16"]) == cli.EXIT_OK
+                         "--epochs", "1", "--steps-per-epoch", "3", "--patch-frames", "8"]
+                        ) == cli.EXIT_OK
     losses = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("epoch")]
     assert len(losses) == 2 and losses[0] == losses[1]
     (a, _), (b, _) = map(score.load_checkpoint, ckpts)
@@ -217,7 +217,7 @@ def _write_noisy(tmp_path, n=2000, rate=16000, seed=3):
     return noisy_path, clean_path
 
 
-FAST_ENHANCE = ["--em-iters", "1", "--window-len", "64", "--hop", "16"]
+FAST_ENHANCE = ["--em-iters", "1"]
 
 
 def _reject_constant(name):
@@ -368,6 +368,7 @@ def test_enhance_rejects_wrong_sample_rate(tiny_ckpt, tmp_path, capsys):
 
 
 def test_enhance_takes_its_schedule_from_the_checkpoint(gamma2_ckpt, tmp_path, capsys):
+    # the WAV is the library's, bit for bit, at the checkpoint's schedule and StftConfig()
     from diffenh import score
     from diffenh.em import EnhancementConfig, enhance_waveform
 
@@ -378,8 +379,7 @@ def test_enhance_takes_its_schedule_from_the_checkpoint(gamma2_ckpt, tmp_path, c
     assert cli.main(args) == cli.EXIT_OK
     model, sched = score.load_checkpoint(gamma2_ckpt)
     assert sched.gamma == 2.0
-    expected = enhance_waveform(signal.load_wav(noisy_path), model, sched,
-                                signal.StftConfig(window_len=64, hop=16),
+    expected = enhance_waveform(signal.load_wav(noisy_path), model, sched, signal.StftConfig(),
                                 EnhancementConfig(em_iters=1))
     expected_path = tmp_path / "expected.wav"
     signal.save_wav(expected_path, expected)
@@ -396,22 +396,20 @@ def test_sample_writes_wav_and_dump(tiny_ckpt, tmp_path, capsys):
 
     wav_path = tmp_path / "sample.wav"
     dump_path = tmp_path / "sample.npy"
-    rc = cli.main(
-        [
-            "sample", "--ckpt", str(tiny_ckpt), "--output", str(wav_path),
-            "--dump-spec", str(dump_path), "--frames", "8",
-            "--reverse-steps", "4", "--window-len", "64", "--hop", "16",
-        ]
-    )
+    frames = 8
+    rc = cli.main(["sample", "--ckpt", str(tiny_ckpt), "--output", str(wav_path),
+                   "--dump-spec", str(dump_path), "--frames", str(frames)])
     assert rc == cli.EXIT_OK
-    # the dump is the sampled grid itself, at the default --seed 0
+    # the dump is the library's draw at StftConfig()'s bins, SamplerConfig() and
+    # the default --seed 0, bit for bit
     model, sched = score.load_checkpoint(tiny_ckpt)
-    expected = unconditional_sample((33, 8), model, sched, SamplerConfig(n_steps=4),
+    stft_cfg = signal.StftConfig()
+    expected = unconditional_sample((stft_cfg.f_bins, frames), model, sched, SamplerConfig(),
                                      np.random.default_rng(0))
     spec = np.load(dump_path)
-    assert spec.dtype == np.complex128 and spec.tobytes() == expected.tobytes()
+    assert spec.dtype == np.complex128 and np.array_equal(spec, expected)
     wav = signal.load_wav(wav_path).samples
-    assert len(wav) == 7 * 16
+    assert len(wav) == (frames - 1) * stft_cfg.hop
     # written at -26 dBFS RMS, to float32 rounding
     assert np.sqrt(np.mean(wav ** 2)) == pytest.approx(10 ** (-26 / 20), rel=1e-6)
     capsys.readouterr()
@@ -434,7 +432,7 @@ def test_sample_requires_some_output(tiny_ckpt, capsys):
     assert "--output and/or --dump-spec" in capsys.readouterr().err
 
 
-SAMPLE_FLAGS = ["--frames=8", "--reverse-steps=4", "--seed=7", "--window-len=64", "--hop=16"]
+SAMPLE_FLAGS = ["--frames=8", "--seed=7"]
 
 
 def test_argument_file_gives_the_command_line_bytes_and_later_flags_win(tiny_ckpt, tmp_path,
@@ -453,7 +451,8 @@ def test_argument_file_gives_the_command_line_bytes_and_later_flags_win(tiny_ckp
     assert cli.main(["sample", "--ckpt", str(tiny_ckpt), f"@{args_file}", "--seed", "9",
                      "--dump-spec", str(spec)]) == cli.EXIT_OK
     assert "# seed=9" in capsys.readouterr().out  # the later flag beats the file's --seed=7
-    assert np.load(spec).shape == (33, 8) and spec.read_bytes() != outputs["file"][1]
+    assert np.load(spec).shape == (signal.StftConfig().f_bins, 8)
+    assert spec.read_bytes() != outputs["file"][1]
 
 
 def test_argument_file_value_may_start_with_a_dash(tmp_path):
@@ -480,13 +479,12 @@ def test_output_path_starting_with_at_is_no_argument_file(tiny_ckpt, tmp_path, m
     assert cli.main(["sample", "--ckpt", str(tiny_ckpt), "--output=@o.wav",
                      *SAMPLE_FLAGS]) == cli.EXIT_OK
     assert "wrote @o.wav" in capsys.readouterr().out
-    assert len(signal.load_wav(tmp_path / "@o.wav")) == 7 * 16
+    assert len(signal.load_wav(tmp_path / "@o.wav")) == 7 * signal.StftConfig().hop
 
 
 def _dump_sample_argv(ckpt, dump):
-    # no --hop here, so a file's --hop=0 shows as the --hop usage error
-    return ["sample", "--ckpt", str(ckpt), "--dump-spec", str(dump), "--frames", "4",
-            "--reverse-steps", "2"]
+    # no --seed here, so a file's --seed=-1 shows as the --seed usage error
+    return ["sample", "--ckpt", str(ckpt), "--dump-spec", str(dump), "--frames", "4"]
 
 
 ROOT_USAGE = "usage: diffenh [-h] COMMAND ...\n"
@@ -496,10 +494,10 @@ ROOT_USAGE = "usage: diffenh [-h] COMMAND ...\n"
 def test_argument_file_naming_an_argument_file_is_a_usage_error(named, tiny_ckpt, tmp_path,
                                                                   capsys):
     # argparse would read a nested file, and a file that names itself without end
-    zero = tmp_path / "zero.args"
-    zero.write_text("--hop=0\n")
+    negative = tmp_path / "negative.args"
+    negative.write_text("--seed=-1\n")
     outer = tmp_path / "outer.args"
-    inner = outer if named == "self" else zero
+    inner = outer if named == "self" else negative
     outer.write_text(f"--frames=4\n@{inner}\n")
     dump = tmp_path / "s.npy"
     assert cli.main(_dump_sample_argv(tiny_ckpt, dump) + [f"@{outer}"]) == cli.EXIT_USAGE
@@ -535,11 +533,11 @@ def test_argument_file_that_cannot_be_read_is_a_usage_error(content, name, messa
 
 def test_argument_file_utf8_byte_order_mark_starts_the_first_argument(tiny_ckpt, tmp_path, capsys):
     args_file = tmp_path / "bom.args"
-    args_file.write_bytes(b"\xef\xbb\xbf--hop=0\n")
+    args_file.write_bytes(b"\xef\xbb\xbf--seed=-1\n")
     assert cli.main(_dump_sample_argv(tiny_ckpt, tmp_path / "s.npy")
                     + [f"@{args_file}"]) == cli.EXIT_USAGE
     error = capsys.readouterr().err.splitlines()[-1]
-    assert error == "diffenh sample: error: unrecognized arguments: \ufeff--hop=0"
+    assert error == "diffenh sample: error: unrecognized arguments: \ufeff--seed=-1"
 
 
 def test_benchmark_synthetic_deterministic(tiny_ckpt, tmp_path, capsys):
@@ -621,7 +619,7 @@ def test_benchmark_wav_dirs(tiny_ckpt, tmp_path, capsys):
     assert "c0.wav@+0dB" in out and "c1.wav@+5dB" in out
 
 
-_FAST_SAMPLE = "--frames 8 --reverse-steps 2 --window-len 64 --hop 16"
+_FAST_SAMPLE = "--frames 8"
 _FAST_TRAIN = "--synthetic --patch-frames 8 --hidden 4 --epochs 1 --steps-per-epoch 1"
 _FAST = " ".join(FAST_ENHANCE)
 
@@ -944,26 +942,6 @@ def test_training_divergence_is_numeric_error(steps, cause, tmp_path, capsys):
     assert not (tmp_path / "t.bin").exists()
 
 
-# (id, argv); {out} is the one file the command may write.  A tiny alpha
-# overflows the decompression of the enhanced spectrogram to non-finite samples
-COMPRESSION_RANGE_CASES = [
-    ("enhance --alpha 1e-300", "enhance --input {noisy} --ckpt {ckpt} --output {out} "
-     "--alpha 1e-300 " + _FAST),
-]
-
-
-@pytest.mark.parametrize("argv", [c[1] for c in COMPRESSION_RANGE_CASES],
-                         ids=[c[0] for c in COMPRESSION_RANGE_CASES])
-def test_compression_beyond_float_range_is_numeric_error(argv, tiny_ckpt, tmp_path, capsys):
-    noisy_path, _ = _write_noisy(tmp_path)
-    out_path = tmp_path / "out"
-    paths = {"noisy": noisy_path, "ckpt": tiny_ckpt, "out": out_path}
-    assert cli.main([tok.format(**paths) for tok in argv.split()]) == cli.EXIT_NUMERIC
-    (line,) = capsys.readouterr().err.splitlines()  # no traceback and no numpy warnings
-    assert line.startswith("diffenh: error: ") and "compression" in line
-    assert not out_path.exists()
-
-
 def test_enhance_silent_input_gives_silence(tiny_ckpt, tmp_path, capsys):
     silent = tmp_path / "silent.wav"
     signal.save_wav(silent, signal.Waveform(np.zeros(2000), 16000))
@@ -1003,17 +981,15 @@ NOTHING_TO_DO_CASES = [
     ("train --batch 0", "train " + _FAST_TRAIN + " --batch 0 --out {out}", "--batch"),
     ("benchmark --utterances 0", "benchmark --ckpt {ckpt} --synthetic --utterances 0 "
      "--frames 16 --snrs 0 --report {out} " + _FAST, "--utterances"),
-    ("sample --frames 0", "sample --ckpt {ckpt} --output {out} --frames 0 --reverse-steps 2 "
-     "--window-len 64 --hop 16", "--frames"),
-    ("sample --frames 1", "sample --ckpt {ckpt} --output {out} --frames 1 --reverse-steps 2 "
-     "--window-len 64 --hop 16", "--frames"),
-    ("sample --dump-spec --frames 1", "sample --ckpt {ckpt} --dump-spec {out} --frames 1 "
-     "--reverse-steps 2", "--frames"),
+    ("sample --frames 0", "sample --ckpt {ckpt} --output {out} --frames 0", "--frames"),
+    ("sample --frames 1", "sample --ckpt {ckpt} --output {out} --frames 1", "--frames"),
+    ("sample --dump-spec --frames 1", "sample --ckpt {ckpt} --dump-spec {out} --frames 1",
+     "--frames"),
     ("benchmark --frames 1", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 1 "
      "--snrs 0 --report {out} " + _FAST, "--frames"),
     ("benchmark --frames 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 0 "
      "--snrs 0 --report {out} " + _FAST, "--frames"),
-    # 3 frames make (3 - 1) * 16 = 32 samples, which give 3 STFT frames: rank 4 cannot fit
+    # 3 frames make (3 - 1) * 128 = 256 samples, which give 3 STFT frames: rank 4 cannot fit
     ("benchmark --synthetic --nmf-rank 4", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
      "--frames 3 --nmf-rank 4 --snrs 0 --report {out} " + _FAST, "--nmf-rank"),
     ("train --hidden 0", "train " + _FAST_TRAIN + " --hidden 0 --out {out}", "--hidden"),
@@ -1028,13 +1004,6 @@ NOTHING_TO_DO_CASES = [
      "--jobs -3 " + _FAST, "--jobs"),
     ("enhance --em-iters 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --em-iters 0", "--em-iters"),
-    ("enhance --hop 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
-     + " --hop 0", "--hop"),
-    # past half the window a round trip zeroes samples or falls short of the end;
-    # {out}.wav names no file, so a command that read its input would exit 3
-    *((f"enhance --window-len 64 --hop {hop}", "enhance --input {out}.wav --ckpt {ckpt} "
-       f"--output {{out}} --window-len 64 --hop {hop}", f"--hop {hop} with --window-len 64")
-      for hop in (63, 64)),
     # flags match exactly, so an abbreviation is an unknown flag
     ("enhance --em-it 1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --em-it 1", "--em-it"),
@@ -1043,8 +1012,6 @@ NOTHING_TO_DO_CASES = [
     ("train --seed -1", "train " + _FAST_TRAIN + " --seed -1 --out {out}", "--seed"),
     # inf passes a lower bound
     ("train --lr inf", "train " + _FAST_TRAIN + " --lr inf --out {out}", "--lr"),
-    ("sample --reverse-steps 0", "sample --ckpt {ckpt} --dump-spec {out} --frames 4 "
-     "--reverse-steps 0", "--reverse-steps"),
     ("benchmark --synthetic --em-iters 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
      "--frames 16 --snrs 0 --report {out} " + _FAST + " --em-iters 0", "--em-iters"),
     ("benchmark --snrs x", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
@@ -1091,6 +1058,17 @@ NOTHING_TO_DO_CASES = [
     *((f"benchmark {flag} (removed)", "benchmark --ckpt {out}.ckpt --synthetic "
        f"--report {{out}} {flag}", f"unrecognized arguments: {flag}")
       for flag in ("--batch 2", "--reverse-steps 4")),
+    # prior samples are SamplerConfig()'s N = 30 steps
+    ("sample --reverse-steps (removed)", "sample --ckpt {out}.ckpt --output {out} "
+     "--reverse-steps 4", "unrecognized arguments: --reverse-steps 4"),
+    # every command computes its grids with StftConfig(), the prior's front end
+    *((f"{command} {flag} (removed)", f"{command} {args} {flag}",
+       f"unrecognized arguments: {flag}")
+      for command, args in (("train", "--data {out}.d --out {out}"),
+                            ("enhance", "--input {out}.wav --ckpt {out}.ckpt --output {out}"),
+                            ("sample", "--ckpt {out}.ckpt --output {out}"),
+                            ("benchmark", "--ckpt {out}.ckpt --synthetic --report {out}"))
+      for flag in ("--window-len 64", "--hop 16", "--alpha 0.3")),
     # --synthetic draws the reference corpus, 64 grids of 16 x 64
     *((f"train {flag} (removed)", f"train --synthetic {flag} --out {{out}}",
        f"unrecognized arguments: {flag}")
@@ -1162,8 +1140,7 @@ def test_checkpoint_with_unknown_diffusion_code_is_malformed(tiny_ckpt, tmp_path
     with pytest.raises(ValueError, match="diffusion-coefficient code 1"):
         score.load_checkpoint(bad)
     out_path = tmp_path / "s.wav"
-    rc = cli.main(["sample", "--ckpt", str(bad), "--output", str(out_path),
-                   "--frames", "8", "--reverse-steps", "2", "--window-len", "64", "--hop", "16"])
+    rc = cli.main(["sample", "--ckpt", str(bad), "--output", str(out_path), "--frames", "8"])
     assert rc == cli.EXIT_IO
     assert "diffusion-coefficient code 1" in capsys.readouterr().err
     assert not out_path.exists()
@@ -1199,8 +1176,7 @@ def _enhance_silence_args(tmp_path):
     return ["enhance", "--input", str(path), *FAST_ENHANCE]
 
 
-SAMPLE_ARGS = ["sample", "--frames", "8", "--reverse-steps", "4", "--window-len", "64",
-               "--hop", "16"]
+SAMPLE_ARGS = ["sample", "--frames", "8"]
 
 # (id, argv builder, whether the tiny prior's output exceeds [-1, 1])
 CLIP_CASES = [

@@ -728,6 +728,24 @@ def test_checkpoint_stores_schedule_fields(tmp_path):
     )
 
 
+def test_checkpoint_keeps_its_stored_time_frequencies(tmp_path):
+    # a new net embeds time at DEFAULT_EMB_FREQS; a loaded one at the frequencies its file holds
+    net = ToyScoreNet(seed=0, sched=SCHED)
+    assert np.array_equal(net.emb_freqs, score.DEFAULT_EMB_FREQS)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(net, SCHED, path)
+    blob = bytearray(path.read_bytes())
+    # magic, version, schedule (48), the sizes after their count, then the frequencies' count
+    at = 48 + 4 + 4 * len(net.sizes) + 4
+    freqs = (0.25, 3.0, 5.0, 7.5)
+    struct.pack_into(f"<{len(freqs)}d", blob, at, *freqs)
+    path.write_bytes(bytes(blob))
+    back, _ = load_checkpoint(path)
+    assert back.emb_freqs.tolist() == list(freqs)
+    probe = np.array([[0.4 - 1.2j, 2.0 + 0.1j]])
+    assert not np.array_equal(back.evaluate(probe, 0.5), net.evaluate(probe, 0.5))
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     net = ToyScoreNet(seed=0, sched=SCHED)
     path = tmp_path / "model.ckpt"
