@@ -11,14 +11,16 @@ Every command computes its grids with one front end, STFT = StftConfig(), and
 sample draws at SamplerConfig(); neither is a flag, so a checkpoint and the
 commands that read it cannot disagree about the grid.  A prior trained at
 another StftConfig is enhanced through the library (em.enhance_waveform).
+Likewise train runs one recipe, TrainConfig() at --seed, on a net of
+DEFAULT_HIDDEN widths; another recipe trains through score.train.
 
 Input is checked in one order: flags (argparse types and exclusive groups,
-cross-flag rules) and configs (their dataclasses), then the paths the command
-will write (an empty path, a directory or a file in a missing directory exits
-3), before any file is read; then what depends on the files read (--nmf-rank,
---clean) before any sampling, enhancing, training or writing.  So a usage
-error (exit 1) or a bad output path costs no work and writes nothing.  Every
-usage error is printed by main, as a usage line and then "PROG: error: MESSAGE".
+then cross-flag rules), then the paths the command will write (an empty
+path, a directory or a file in a missing directory exits 3), before any file
+is read; then what depends on the files read (--nmf-rank, --clean) before
+any sampling, enhancing, training or writing.  So a usage error (exit 1) or a
+bad output path costs no work and writes nothing.  Every usage error is
+printed by main, as a usage line and then "PROG: error: MESSAGE".
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -81,8 +82,9 @@ def _fmt(prog):
 
 def _add_enhance_flags(p):
     E = EnhancementConfig
-    p.add_argument("--em-iters", type=int, default=E.em_iters, help="EM iterations (K)")
-    p.add_argument("--nmf-rank", type=int, default=E.nmf_rank, help="noise model rank (r)")
+    p.add_argument("--em-iters", type=_at_least(1), default=E.em_iters, help="EM iterations (K)")
+    p.add_argument("--nmf-rank", type=_at_least(1), default=E.nmf_rank,
+                   help="noise model rank (r)")
 
 
 def _at_least(minimum: int):
@@ -95,15 +97,6 @@ def _at_least(minimum: int):
             pass
         raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {text!r}")
     return parse
-
-
-def _hidden_widths(text: str) -> tuple[int, ...]:
-    """--hidden as layer widths; argparse reports the error under the flag's name."""
-    try:
-        return tuple(_at_least(1)(v) for v in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integer widths of at least 1, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -119,24 +112,9 @@ def build_parser() -> _Parser:
         "--synthetic", action="store_true",
         help="train on draws from the built-in unit Gaussian prior instead of WAV data")
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    net = p.add_mutually_exclusive_group()
-    net.add_argument("--resume", metavar="CKPT",
-                     help="continue from a checkpoint, under its schedule and sizes")
-    net.add_argument("--hidden", type=_hidden_widths,
-                     default=",".join(map(str, score.DEFAULT_HIDDEN)),
-                     help="comma-separated hidden layer widths")
-    T = score.TrainConfig
-    p.add_argument("--lr", type=float, default=T.lr, help="learning rate")
-    p.add_argument("--lr-decay", choices=["constant", "cosine"], default=T.lr_decay,
-                   help="learning-rate schedule")
-    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int, default=T.batch_size,
-                   help="training batch size")
-    p.add_argument("--epochs", type=int, default=T.epochs, help="training epochs")
-    p.add_argument("--steps-per-epoch", type=int, default=T.steps_per_epoch,
-                   help="optimizer steps per epoch")
-    p.add_argument("--patch-frames", type=int, default=T.patch_frames,
-                   help="frames per training patch")
-    p.add_argument("--seed", type=_at_least(0), default=T.seed, help="master seed")
+    p.add_argument("--resume", metavar="CKPT",
+                   help="continue from a checkpoint, under its schedule and sizes")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="enhance a noisy WAV file",
@@ -179,26 +157,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_benchmark)
 
     for p in sub.choices.values():
-        # flags lets a config error name the flag that set the field: --batch, not
-        # batch_size; parser puts a usage error found after parsing under the
-        # command's own usage line
-        p.set_defaults(flags={a.dest: a.option_strings[-1] for a in p._actions}, parser=p)
+        # a usage error found after parsing goes under the command's own usage line
+        p.set_defaults(parser=p)
     return root
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _config(cls, args):
-    """cls built from the parsed flags whose dest is one of its fields, the rest
-    at their defaults; an invalid value is a usage error naming those flags."""
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        message = re.sub(r"\w+", lambda m: args.flags[m[0]] if m[0] in values else m[0], str(exc))
-        raise _UsageError(message) from exc
 
 
 def _check_outputs(*paths):
@@ -276,14 +241,13 @@ def _wav_files(directory) -> list[str]:
 
 
 def cmd_train(args) -> int:
-    cfg = _config(score.TrainConfig, args)
     _check_outputs(args.out)
     print(f"# seed={args.seed}")
     # a fresh net trains under SdeSchedule(), a resumed one under its checkpoint's
     if args.resume is not None:
         model, _ = _read(score.load_checkpoint, args.resume)
     else:
-        model = score.ToyScoreNet(hidden=args.hidden, seed=args.seed)
+        model = score.ToyScoreNet(seed=args.seed)
     if args.synthetic:
         rng = np.random.default_rng(args.seed)
         # the reference prior's corpus: 64 unit-Gaussian grids of 16 bins x 64 frames
@@ -292,6 +256,7 @@ def cmd_train(args) -> int:
         grids = (signal.stft(_load_audible("--data", p), STFT) for p in _wav_files(args.data))
         # each grid at unit mean power, the prior's scale, whatever its WAV's level
         dataset = [d / signal.rms(d) for d in grids]
+    cfg = score.TrainConfig(seed=args.seed)
     frames = min(d.shape[1] for d in dataset)
     cfg = dataclasses.replace(cfg, patch_frames=min(cfg.patch_frames, frames))
     model, history = score.train(model, dataset, cfg, model.sched)
@@ -305,7 +270,7 @@ def cmd_train(args) -> int:
 def cmd_enhance(args) -> int:
     if args.report is not None and args.clean is None:
         raise _UsageError("--report needs --clean: the report holds metrics against the reference")
-    cfg = _config(EnhancementConfig, args)
+    cfg = EnhancementConfig(em_iters=args.em_iters, nmf_rank=args.nmf_rank, seed=args.seed)
     _check_outputs(args.output, args.report)
     print(f"# seed={args.seed}")
     model, sched = _read(score.load_checkpoint, args.ckpt)
@@ -374,7 +339,7 @@ def _benchmark_pairs(args, model, sched):
 def cmd_benchmark(args) -> int:
     if (args.noise_dir is None) != (args.clean_dir is None):
         raise _UsageError("--noise-dir goes with --clean-dir, and only with it")
-    cfg = _config(EnhancementConfig, args)
+    cfg = EnhancementConfig(em_iters=args.em_iters, nmf_rank=args.nmf_rank, seed=args.seed)
     try:
         snrs = [float(v) for v in args.snrs.split(",")]
     except ValueError as exc:

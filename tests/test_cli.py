@@ -7,13 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffenh
-from diffenh import cli, metrics, signal
+from diffenh import cli, metrics, score, sde, signal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,70 +115,83 @@ def test_missing_checkpoint_is_io_error(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def tiny_ckpt(tmp_path_factory):
+    """A hidden-8 net after two steps on the --synthetic corpus: cheap to run."""
+    rng = np.random.default_rng(0)
+    dataset = [sde.complex_randn((16, 64), rng) for _ in range(64)]
+    model = score.ToyScoreNet(hidden=(8,), seed=0)
+    cfg = score.TrainConfig(lr=1e-4, epochs=1, steps_per_epoch=2, patch_frames=8,
+                            lr_decay="constant")
+    model, _ = score.train(model, dataset, cfg, model.sched)
     path = tmp_path_factory.mktemp("ckpt") / "tiny.bin"
-    rc = cli.main(
-        [
-            "train", "--synthetic", "--out", str(path),
-            "--patch-frames", "8", "--hidden", "8", "--epochs", "1", "--steps-per-epoch", "2",
-            "--seed", "0",
-        ]
-    )
-    assert rc == cli.EXIT_OK
-    assert path.exists()
+    score.save_checkpoint(model, model.sched, path)
     return path
 
 
-def test_train_writes_checkpoint(tiny_ckpt, capsys):
-    # fixture already ran the command; a fresh run must be deterministic
-    other = tiny_ckpt.parent / "again.bin"
-    rc = cli.main(
-        [
-            "train", "--synthetic", "--out", str(other),
-            "--patch-frames", "8", "--hidden", "8", "--epochs", "1", "--steps-per-epoch", "2",
-            "--seed", "0",
-        ]
-    )
-    assert rc == cli.EXIT_OK
+def _shrink_recipe(monkeypatch, **fields):
+    """train runs its recipe with fields (by default one epoch of two steps on
+    8-frame patches) in place of TrainConfig()'s, so no test runs 8000 steps."""
+    fields = {"epochs": 1, "steps_per_epoch": 2, "patch_frames": 8, **fields}
+    monkeypatch.setattr(score, "TrainConfig", partial(score.TrainConfig, **fields))
+
+
+@pytest.fixture
+def short_recipe(monkeypatch):
+    _shrink_recipe(monkeypatch)
+
+
+def test_train_runs_the_acceptance_recipe(tmp_path, monkeypatch):
+    # the prior that acceptance 5 checks: TrainConfig() at --seed on a DEFAULT_HIDDEN net
+    calls = []
+
+    def recording(model, dataset, cfg, sched):
+        calls.append((model.sizes, cfg))
+        return model, []
+
+    monkeypatch.setattr(score, "train", recording)
+    out = tmp_path / "t.bin"
+    assert cli.main(["train", "--synthetic", "--seed", "7", "--out", str(out)]) == cli.EXIT_OK
+    ((sizes, cfg),) = calls
+    assert cfg == score.TrainConfig(seed=7) == score.TrainConfig(
+        lr=1.5e-3, batch_size=16, epochs=8, steps_per_epoch=1000, patch_frames=32,
+        lr_decay="cosine", seed=7)
+    assert sizes[1:-1] == score.DEFAULT_HIDDEN == (32, 32)
+
+
+def test_train_writes_checkpoint(short_recipe, tmp_path, capsys):
+    # two runs at one seed write the same bytes
+    paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+    for path in paths:
+        assert cli.main(["train", "--synthetic", "--seed", "0", "--out", str(path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "# seed=0" in out
     assert "epoch 1: loss" in out
-    assert other.read_bytes() == tiny_ckpt.read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.fixture
 def gamma2_ckpt(tiny_ckpt, tmp_path):
     """tiny_ckpt's net under gamma 2.0, a schedule that train never writes."""
-    from diffenh import score, sde
-
     model, _ = score.load_checkpoint(tiny_ckpt)
     path = tmp_path / "gamma2.bin"
     score.save_checkpoint(model, sde.SdeSchedule(gamma=2.0), path)
     return path
 
 
-def test_train_resume_keeps_the_checkpoint_schedule_and_sizes(gamma2_ckpt, tmp_path, capsys):
-    from diffenh import score, sde
-
+def test_train_resume_keeps_the_checkpoint_schedule_and_sizes(gamma2_ckpt, short_recipe, tmp_path,
+                                                              capsys):
     out = tmp_path / "resumed.bin"
-    rc = cli.main(
-        [
-            "train", "--synthetic", "--resume", str(gamma2_ckpt), "--out", str(out),
-            "--patch-frames", "8", "--epochs", "1", "--steps-per-epoch", "2",
-        ]
-    )
+    rc = cli.main(["train", "--synthetic", "--resume", str(gamma2_ckpt), "--out", str(out)])
     assert rc == cli.EXIT_OK
     assert "step 4" in capsys.readouterr().out
-    # neither the default schedule nor the default --hidden 32,32 replaces the checkpoint's
+    # neither the default schedule nor DEFAULT_HIDDEN replaces the checkpoint's
     (before, before_sched), (after, after_sched) = map(score.load_checkpoint, (gamma2_ckpt, out))
     assert (before.step, after.step) == (2, 4)
     assert after.sizes == before.sizes == (before.sizes[0], 8, 2)
     assert after_sched == before_sched == sde.SdeSchedule(gamma=2.0)
 
 
-def test_train_data_scales_each_grid_to_unit_power(tmp_path, capsys):
+def test_train_data_scales_each_grid_to_unit_power(short_recipe, tmp_path, capsys):
     # the prior's scale is the grid's own, so the WAVs' level does not reach the net
-    from diffenh import score
-
     rng = np.random.default_rng(2)
     utterances = [rng.standard_normal(800) for _ in range(2)]
     ckpts = []
@@ -187,9 +201,7 @@ def test_train_data_scales_each_grid_to_unit_power(tmp_path, capsys):
         for i, samples in enumerate(utterances):
             signal.save_wav(data / f"u{i}.wav", signal.Waveform(level * samples, 16000))
         ckpts.append(tmp_path / f"{level}.ckpt")
-        assert cli.main(["train", "--data", str(data), "--out", str(ckpts[-1]), "--hidden", "4",
-                         "--epochs", "1", "--steps-per-epoch", "3", "--patch-frames", "8"]
-                        ) == cli.EXIT_OK
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpts[-1])]) == cli.EXIT_OK
     losses = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("epoch")]
     assert len(losses) == 2 and losses[0] == losses[1]
     (a, _), (b, _) = map(score.load_checkpoint, ckpts)
@@ -369,7 +381,6 @@ def test_enhance_rejects_wrong_sample_rate(tiny_ckpt, tmp_path, capsys):
 
 def test_enhance_takes_its_schedule_from_the_checkpoint(gamma2_ckpt, tmp_path, capsys):
     # the WAV is the library's, bit for bit, at the checkpoint's schedule and StftConfig()
-    from diffenh import score
     from diffenh.em import EnhancementConfig, enhance_waveform
 
     noisy_path, _ = _write_noisy(tmp_path)
@@ -391,7 +402,6 @@ def test_enhance_takes_its_schedule_from_the_checkpoint(gamma2_ckpt, tmp_path, c
 
 
 def test_sample_writes_wav_and_dump(tiny_ckpt, tmp_path, capsys):
-    from diffenh import score
     from diffenh.sampler import SamplerConfig, unconditional_sample
 
     wav_path = tmp_path / "sample.wav"
@@ -620,7 +630,6 @@ def test_benchmark_wav_dirs(tiny_ckpt, tmp_path, capsys):
 
 
 _FAST_SAMPLE = "--frames 8"
-_FAST_TRAIN = "--synthetic --patch-frames 8 --hidden 4 --epochs 1 --steps-per-epoch 1"
 _FAST = " ".join(FAST_ENHANCE)
 
 # (id, argv, what the error names); {gone} is a directory that does not exist,
@@ -639,8 +648,8 @@ IO_CASES = [
      "--frames 16 --snrs 0 --report {gone}/b.json " + _FAST, "{gone}/b.json"),
     ("unwritable --dump-spec", "sample --ckpt {ckpt} --dump-spec {gone}/s.spec " + _FAST_SAMPLE,
      "{gone}/s.spec"),
-    ("unwritable train --out", "train --out {gone}/t.bin " + _FAST_TRAIN, "{gone}/t.bin"),
-    ("empty train --out", "train --out {empty} " + _FAST_TRAIN, "'': empty output path"),
+    ("unwritable train --out", "train --synthetic --out {gone}/t.bin", "{gone}/t.bin"),
+    ("empty train --out", "train --synthetic --out {empty}", "'': empty output path"),
     ("empty enhance --output", "enhance --input {noisy} --ckpt {ckpt} --output {empty} " + _FAST,
      "'': empty output path"),
     ("empty train --resume", "train --resume {empty} --out {tmp}/t.bin --synthetic",
@@ -909,8 +918,6 @@ def test_readme_documents_exactly_the_parser_flags():
 
 
 def test_enhance_with_nonfinite_checkpoint_is_io_error(tiny_ckpt, tmp_path, capsys):
-    from diffenh import score
-
     model, sched = score.load_checkpoint(tiny_ckpt)
     for W, _ in model.ema_params:
         W[...] = np.inf
@@ -929,13 +936,12 @@ def test_enhance_with_nonfinite_checkpoint_is_io_error(tiny_ckpt, tmp_path, caps
 
 # a step this large overflows the float32 weights: a later step's loss is nan,
 # and after a single step the weights themselves are checked
-@pytest.mark.parametrize("steps,cause", [("3", "loss=nan"), ("1", "non-finite weights")],
+@pytest.mark.parametrize("steps,cause", [(3, "loss=nan"), (1, "non-finite weights")],
                          ids=["loss", "weights"])
-def test_training_divergence_is_numeric_error(steps, cause, tmp_path, capsys):
-    rc = cli.main(
-        ["train", "--synthetic", "--patch-frames", "8", "--hidden", "4", "--epochs", "1",
-         "--steps-per-epoch", steps, "--lr", "1e39", "--out", str(tmp_path / "t.bin")]
-    )
+def test_training_divergence_is_numeric_error(steps, cause, tmp_path, monkeypatch, capsys):
+    # at constant lr: the cosine schedule's last step, here the only one, has lr 0
+    _shrink_recipe(monkeypatch, steps_per_epoch=steps, lr=1e39, lr_decay="constant")
+    rc = cli.main(["train", "--synthetic", "--out", str(tmp_path / "t.bin")])
     assert rc == cli.EXIT_NUMERIC
     (line,) = capsys.readouterr().err.splitlines()  # no numpy warnings besides the error
     assert line.startswith("diffenh: error: training diverged at step ") and line.endswith(cause)
@@ -976,9 +982,6 @@ def test_rank_above_frame_count_is_rejected_before_enhancing(command, tiny_ckpt,
 
 # (id, argv, flag the error must name); {out} is the one file the command may write
 NOTHING_TO_DO_CASES = [
-    ("train --patch-frames 0", "train " + _FAST_TRAIN + " --patch-frames 0 --out {out}",
-     "--patch-frames"),
-    ("train --batch 0", "train " + _FAST_TRAIN + " --batch 0 --out {out}", "--batch"),
     ("benchmark --utterances 0", "benchmark --ckpt {ckpt} --synthetic --utterances 0 "
      "--frames 16 --snrs 0 --report {out} " + _FAST, "--utterances"),
     ("sample --frames 0", "sample --ckpt {ckpt} --output {out} --frames 0", "--frames"),
@@ -992,28 +995,24 @@ NOTHING_TO_DO_CASES = [
     # 3 frames make (3 - 1) * 128 = 256 samples, which give 3 STFT frames: rank 4 cannot fit
     ("benchmark --synthetic --nmf-rank 4", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
      "--frames 3 --nmf-rank 4 --snrs 0 --report {out} " + _FAST, "--nmf-rank"),
-    ("train --hidden 0", "train " + _FAST_TRAIN + " --hidden 0 --out {out}", "--hidden"),
-    ("train --hidden 8,-2", "train " + _FAST_TRAIN + " --hidden 8,-2 --out {out}", "--hidden"),
-    ("train --hidden 8,", "train " + _FAST_TRAIN + " --hidden 8, --out {out}", "--hidden"),
-    ("train --hidden 8,,8", "train " + _FAST_TRAIN + " --hidden 8,,8 --out {out}", "--hidden"),
-    ("train --hidden 2.5", "train " + _FAST_TRAIN + " --hidden 2.5 --out {out}", "--hidden"),
-    ("train --hidden wide", "train " + _FAST_TRAIN + " --hidden wide --out {out}", "--hidden"),
     ("benchmark --jobs 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
      "--snrs 0 --jobs 0 --report {out} " + _FAST, "--jobs"),
     ("benchmark --jobs -3", "benchmark --ckpt {ckpt} --clean-dir {out} --noise-dir {out} "
      "--jobs -3 " + _FAST, "--jobs"),
     ("enhance --em-iters 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --em-iters 0", "--em-iters"),
+    ("enhance --nmf-rank 0", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
+     + " --nmf-rank 0", "--nmf-rank"),
     # flags match exactly, so an abbreviation is an unknown flag
     ("enhance --em-it 1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --em-it 1", "--em-it"),
     ("enhance --seed -1", "enhance --input {noisy} --ckpt {ckpt} --output {out} " + _FAST
      + " --seed -1", "--seed"),
-    ("train --seed -1", "train " + _FAST_TRAIN + " --seed -1 --out {out}", "--seed"),
-    # inf passes a lower bound
-    ("train --lr inf", "train " + _FAST_TRAIN + " --lr inf --out {out}", "--lr"),
+    ("train --seed -1", "train --synthetic --seed -1 --out {out}", "--seed"),
     ("benchmark --synthetic --em-iters 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
      "--frames 16 --snrs 0 --report {out} " + _FAST + " --em-iters 0", "--em-iters"),
+    ("benchmark --synthetic --nmf-rank 0", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
+     "--frames 16 --snrs 0 --report {out} " + _FAST + " --nmf-rank 0", "--nmf-rank"),
     ("benchmark --snrs x", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
      "--snrs x --report {out} " + _FAST, "--snrs"),
     ("benchmark --snrs nan", "benchmark --ckpt {ckpt} --synthetic --utterances 1 --frames 16 "
@@ -1029,12 +1028,9 @@ NOTHING_TO_DO_CASES = [
     ("enhance --report without --clean", "enhance --input {noisy} --ckpt {ckpt} "
      "--output {out}.wav --report {out} " + _FAST, "--clean"),
     # two corpora named at once: one of them would be silently ignored
-    ("train --synthetic --data", "train " + _FAST_TRAIN + " --data {out} --out {out}", "--data"),
+    ("train --synthetic --data", "train --synthetic --data {out} --out {out}", "--data"),
     ("benchmark --synthetic --clean-dir", "benchmark --ckpt {ckpt} --synthetic --utterances 1 "
      "--frames 16 --snrs 0 --clean-dir {out} --report {out} " + _FAST, "--clean-dir"),
-    # a resumed net keeps the checkpoint's sizes, so --hidden would be ignored
-    ("train --resume --hidden", "train --synthetic --resume {out}.ckpt --hidden 4 --out {out}",
-     "argument --hidden: not allowed with argument --resume"),
     # no command sets the schedule or the M-step's update count; {out}.* name no
     # file, so a command that read one would exit 3
     *((f"train {flag} (removed)", f"train --data {{out}}.d {flag} --out {{out}}",
@@ -1073,6 +1069,11 @@ NOTHING_TO_DO_CASES = [
     *((f"train {flag} (removed)", f"train --synthetic {flag} --out {{out}}",
        f"unrecognized arguments: {flag}")
       for flag in ("--items 2", "--bins 8", "--frames 16")),
+    # train runs one recipe, TrainConfig(), on a net of DEFAULT_HIDDEN widths
+    *((f"train {flag} (removed)", f"train --data {{out}}.d {flag} --out {{out}}",
+       f"unrecognized arguments: {flag}")
+      for flag in ("--hidden 8", "--lr 1e-3", "--lr-decay constant", "--batch 4", "--epochs 1",
+                   "--steps-per-epoch 1", "--patch-frames 8")),
     # --synthetic is a switch and takes no value
     ("train --synthetic gaussian", "train --synthetic gaussian --out {out}",
      "unrecognized arguments: gaussian"),
@@ -1087,10 +1088,10 @@ EMPTY_WAV_CASES = [
     # with --clean, the silent output of a silent input would be scored
     ("enhance --input silent.wav --clean", "enhance --input {empty}/silent.wav --clean {noisy} "
      "--ckpt {ckpt} --output {out} " + _FAST, "--input: {empty}/silent.wav is silent"),
-    ("train --data with an empty WAV", "train --data {empty} --steps-per-epoch 1 --out {out}",
+    ("train --data with an empty WAV", "train --data {empty} --out {out}",
      "{empty}/empty.wav"),
     # training scales each grid to unit mean power, which a silent one does not have
-    ("train --data with a silent WAV", "train --data {silent} --steps-per-epoch 1 --out {out}",
+    ("train --data with a silent WAV", "train --data {silent} --out {out}",
      "--data: {silent}/silent.wav is silent"),
 ]
 
@@ -1130,8 +1131,6 @@ def test_inputs_that_produce_nothing_are_rejected_before_the_checkpoint_loads(ar
 
 
 def test_checkpoint_with_unknown_diffusion_code_is_malformed(tiny_ckpt, tmp_path, capsys):
-    from diffenh import score
-
     blob = bytearray(tiny_ckpt.read_bytes())
     assert blob[44] == 0  # magic (8) + version (4) + four float64 schedule fields (32)
     blob[44] = 1

@@ -559,7 +559,8 @@ def test_float64_net_trains_bit_identically_to_all_float64_pass(monkeypatch):
 def test_train_keeps_parameter_dtypes_and_float64_adam_state(dtype, monkeypatch):
     # the gradients are float64 whatever the net's dtype; the Adam moments
     # built from them stay float64, and only the updated weights are cast
-    cfg = TrainConfig(lr=1e-3, batch_size=4, steps_per_epoch=5, patch_frames=16, seed=0)
+    cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=10, steps_per_epoch=5, patch_frames=16,
+                      lr_decay="constant", seed=0)
     net, ds = _train_fixture(dtype)
     theta = net.theta.copy()
     seen = []
@@ -584,11 +585,10 @@ def test_train_keeps_parameter_dtypes_and_float64_adam_state(dtype, monkeypatch)
     assert np.array_equal(theta, net.theta)
 
 
-def test_gradient_pass_peak_memory_at_cli_default_shape():
-    # `diffenh train --data` defaults: --batch 16, 256 bins, --patch-frames 256.
-    # A pass holding every layer for all 1,048,576 points at once peaks near
-    # 1.6 GB; a blocked one holds one block of states, targets, activations
-    # and deltas (about 2 MiB).
+def test_gradient_pass_peak_memory_at_256_frame_patches():
+    # 16 patches of 256 frames on the CLI's 256-bin grid: a pass holding every
+    # layer for all 1,048,576 points at once peaks near 1.6 GB; a blocked one
+    # holds one block of states, targets, activations and deltas (about 2 MiB).
     net = ToyScoreNet(sched=SCHED)
     batch = _random_batch((16, 256, 256), np.random.default_rng(0))
     tracemalloc.start()
@@ -639,7 +639,8 @@ def test_train_refuses_non_finite_ema_weights():
     prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
     ds = [prior.sample((4, 12), rng) for _ in range(2)]
     with pytest.raises(FloatingPointError, match="non-finite weights"):
-        train(net, ds, TrainConfig(steps_per_epoch=1, batch_size=2, patch_frames=8), SCHED)
+        train(net, ds, TrainConfig(lr=1e-4, batch_size=2, epochs=10, steps_per_epoch=1,
+                                   patch_frames=8, lr_decay="constant"), SCHED)
 
 
 def test_train_smoke():
@@ -668,7 +669,8 @@ def test_resumed_training_takes_a_fresh_first_adam_step():
     rng = np.random.default_rng(2)
     prior = AnalyticGaussianPrior(mean=0j, var0=1.0, sched=SCHED)
     ds = [prior.sample((4, 16), rng) for _ in range(2)]
-    cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=1, steps_per_epoch=1, patch_frames=8)
+    cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=1, steps_per_epoch=1, patch_frames=8,
+                      lr_decay="constant")
     fresh = ToyScoreNet(hidden=(8,), seed=3, sched=SCHED)
     resumed = ToyScoreNet(hidden=(8,), seed=3, sched=SCHED)
     resumed.step = 1000
