@@ -113,7 +113,8 @@ def build_parser() -> _Parser:
         help="train on draws from the built-in unit Gaussian prior instead of WAV data")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--resume", metavar="CKPT",
-                   help="continue from a checkpoint, under its schedule and sizes")
+                   help="rerun the full recipe from a checkpoint's weights, under its "
+                        "schedule and sizes")
     p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
     p.set_defaults(func=cmd_train)
 
