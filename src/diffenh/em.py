@@ -2,7 +2,9 @@
 
 Each of the K iterations draws b posterior-sample chains under the current
 noise variances, averages them elementwise into the clean estimate, then
-refits the NMF noise model to the residual power |x - s_hat|^2.  Each chain
+refits the NMF noise model to the residual power |x - s_hat|^2.  The average
+is the chains' sum in chain order divided by b, bit-identical to the mean of
+the chains, and no stack of the b chains is built.  Each chain
 samples the posterior of the clean grid given the mixture and those variances
 (see sampler.py), with no weight to tune; under a unit Gaussian prior that
 E-step is exact.  Chain seeds come from a counter-based split of the master
@@ -97,9 +99,13 @@ class EnhancementResult:
     trace: list  # one dict per EM iteration
 
 
-def _run_chains(x, model, sched, scfg, v_phi, seeds) -> list:
-    """One posterior chain per seed on the shared pool, results in seed order.
+def _run_chains(x, model, sched, scfg, v_phi, seeds) -> np.ndarray:
+    """The mean of one posterior chain per seed, run on the shared pool.
 
+    The chain results are summed in seed order into a new array, never into a
+    result itself (a chain may return an array it shares), and the sum is
+    divided by the number of chains.  That is how np.mean reduces a stack of
+    the results, so the estimate is the same bit for bit, without the stack.
     The first failure in chain order is re-raised; the chains not yet started
     are then cancelled and the running ones waited for, so none outlives the call.
     """
@@ -107,7 +113,11 @@ def _run_chains(x, model, sched, scfg, v_phi, seeds) -> list:
     # looked up on every call, so a rebinding of em.posterior_sample reaches the pool threads
     futures = [_CHAIN_POOL.submit(posterior_sample, x, model, sched, scfg, v_phi, r) for r in rngs]
     try:
-        return [f.result() for f in futures]
+        s_hat = futures[0].result().copy()
+        for f in futures[1:]:
+            s_hat += f.result()
+        s_hat /= len(futures)
+        return s_hat
     finally:
         for f in futures:
             f.cancel()  # no-op for chains that ran or are running
@@ -154,8 +164,7 @@ def enhance_spectrogram(
         # the last power grid is freed before the chains run: held through
         # them, it raised the peak RSS of a 256 x 126 enhancement by 2 MB
         del power
-        chains = _run_chains(x, model, sched, scfg, params.variance(), root.spawn(cfg.batch))
-        s_hat = np.mean(chains, axis=0)
+        s_hat = _run_chains(x, model, sched, scfg, params.variance(), root.spawn(cfg.batch))
         power = np.abs(x - s_hat) ** 2
         params = m_step(power, params, cfg.nmf_inner_updates)
         trace.append({"residual_power": float(np.mean(power)),

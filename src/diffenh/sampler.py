@@ -6,7 +6,12 @@ down to 1.  Each iteration runs an annealed Langevin corrector and an
 Euler-Maruyama predictor.  The returned value is the conditional mean at t_min
 (one denoising step), not the raw final state; the raw state still carries
 sigma(t_min)^2 of kernel noise that the caller never wants.  A chain makes
-2N + 1 score evaluations.
+2N + 1 score evaluations.  The steps, the readout and the posterior score
+work in place: each writes into the array that the score model's evaluate
+returned (a new array the caller owns, see score.py) and into arrays it made
+itself, never into the state it was given.  They keep the order of
+operations of the plain expressions, so every rounding, and the order of the
+random draws, is the same.
 
 A posterior chain is unconditional_sample run on the posterior score given a
 mixture x = s_0 + n, n ~ N_C(0, v): the prior score S plus the score of the
@@ -58,16 +63,20 @@ class _PosteriorScore:
 
     def evaluate(self, s: np.ndarray, tau: float) -> np.ndarray:
         mom = kernel_moments(tau, self.sched)
-        mv = mom.m * self.v
-        out = mv * self.model.evaluate(s, tau)
+        out = self.model.evaluate(s, tau)
+        c = mom.m * self.v
+        out *= c
         out += mom.delta * self.x
         out -= s
-        out *= 1.0 / (mom.var + mv)
+        c += mom.var
+        np.divide(1.0, c, out=c)
+        out *= c
         return out
 
 
 def _check_finite(score: np.ndarray, tau: float) -> np.ndarray:
-    if not np.all(np.isfinite(score)):
+    # on the complex128 score's float64 parts, which numpy checks about twice as fast
+    if not np.all(np.isfinite(score.reshape(-1).view(np.float64))):
         raise FloatingPointError(f"non-finite score at tau={tau:.4f}")
     return score
 
@@ -78,7 +87,12 @@ def corrector_step(
     """One annealed Langevin step along model's score with step size (sigma(tau)/2)^2."""
     eps = (math.sqrt(kernel_moments(tau, sched).var) / 2.0) ** 2
     score = _check_finite(model.evaluate(s, tau), tau)
-    return s + eps * score + math.sqrt(2.0 * eps) * complex_randn(s.shape, rng)
+    score *= eps
+    score += s
+    noise = complex_randn(s.shape, rng)
+    noise *= math.sqrt(2.0 * eps)
+    score += noise
+    return score
 
 
 def predictor_step(
@@ -90,14 +104,27 @@ def predictor_step(
     """
     g = diffusion_coeff(tau, sched)
     score = _check_finite(model.evaluate(s, tau), tau)
-    noise = g * math.sqrt(dtau) * complex_randn(s.shape, rng)
-    return s + sched.gamma * s * dtau + g**2 * score * dtau + noise
+    score *= g**2
+    score *= dtau
+    out = sched.gamma * s
+    out *= dtau
+    out += s
+    out += score
+    del score  # freed before the draw, which holds two grids' worth at once
+    noise = complex_randn(s.shape, rng)
+    noise *= g * math.sqrt(dtau)
+    out += noise
+    return out
 
 
 def _denoise(s: np.ndarray, model, sched: SdeSchedule, t: float) -> np.ndarray:
     # conditional-mean readout: remove the residual kernel noise at t
     mom = kernel_moments(t, sched)
-    return (s + mom.var * _check_finite(model.evaluate(s, t), t)) / mom.delta
+    out = _check_finite(model.evaluate(s, t), t)
+    out *= mom.var
+    out += s
+    out /= mom.delta
+    return out
 
 
 def unconditional_sample(

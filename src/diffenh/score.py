@@ -1,7 +1,9 @@
 """Score models: an analytic Gaussian prior and a small trainable network.
 
 A score model is any object with evaluate(s_t, t), which returns the score
-estimate at time t for the state s_t as an array of the same shape.  All
+estimate at time t for the state s_t as a new complex128 array of the same
+shape.  The caller owns that array and may overwrite it (the sampler's steps
+do), so a model must not return an array it keeps or shares.  All
 scores use one convention: a score is a complex array whose real and
 imaginary parts are the half-gradients of the log-density with respect to the
 real and imaginary parts of the state, so that for a complex Gaussian with
@@ -429,11 +431,12 @@ def train(model: ToyScoreNet, dataset: list, cfg: TrainConfig, sched: SdeSchedul
                 if not math.isfinite(loss):
                     raise FloatingPointError(f"training diverged at step {model.step}: loss={loss}")
                 acc += loss
-                done += 1
                 if cfg.lr_decay == "cosine":
+                    # the rate at the step's start: lr on the first step, never 0
                     lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * done / total))
                 else:
                     lr = cfg.lr
+                done += 1
                 model.step += 1
                 m = b1 * m + (1 - b1) * grad
                 v = b2 * v + (1 - b2) * grad**2

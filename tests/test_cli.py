@@ -939,8 +939,7 @@ def test_enhance_with_nonfinite_checkpoint_is_io_error(tiny_ckpt, tmp_path, caps
 @pytest.mark.parametrize("steps,cause", [(3, "loss=nan"), (1, "non-finite weights")],
                          ids=["loss", "weights"])
 def test_training_divergence_is_numeric_error(steps, cause, tmp_path, monkeypatch, capsys):
-    # at constant lr: the cosine schedule's last step, here the only one, has lr 0
-    _shrink_recipe(monkeypatch, steps_per_epoch=steps, lr=1e39, lr_decay="constant")
+    _shrink_recipe(monkeypatch, steps_per_epoch=steps, lr=1e39)
     rc = cli.main(["train", "--synthetic", "--out", str(tmp_path / "t.bin")])
     assert rc == cli.EXIT_NUMERIC
     (line,) = capsys.readouterr().err.splitlines()  # no numpy warnings besides the error

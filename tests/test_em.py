@@ -185,15 +185,32 @@ def _sequential_em(x, model, sched, cfg):
     return s_hat * g, params
 
 
-@pytest.mark.parametrize("batch", [1, 3, 5])
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
 def test_pooled_chains_equal_sequential_loop(batch, sched):
+    # the pooled E-step sums the chains into one array; the reference stacks
+    # them and takes np.mean, and the two agree to the last bit, zero signs too
     x = _mixture((9, 14), batch)
     net = ToyScoreNet(hidden=(8,), seed=batch, sched=sched)
     cfg = EnhancementConfig(em_iters=2, batch=batch, reverse_steps=5, seed=21)
     res = enhance_spectrogram(x, net, sched, cfg)
     s_hat, params = _sequential_em(x, net, sched, cfg)
-    assert np.array_equal(res.s_hat, s_hat)
+    assert np.array_equal(res.s_hat, s_hat) and res.s_hat.tobytes() == s_hat.tobytes()
     assert np.array_equal(res.nmf.W, params.W) and np.array_equal(res.nmf.H, params.H)
+
+
+# every fake chain below returns this one array
+_SHARED_CHAIN = np.full((4, 6), 0.5 - 0.25j)
+
+
+def test_e_step_writes_into_no_chain_result(sched, monkeypatch):
+    monkeypatch.setattr(em, "posterior_sample", lambda *args: _SHARED_CHAIN)
+    before = _SHARED_CHAIN.copy()
+    # a real grid of sqrt(2) has g = 1 exactly, so the estimate is the chains'
+    # mean unscaled; the sum of 4 equal chains divided by 4 is each of them exactly
+    x = np.full((4, 6), math.sqrt(2.0) + 0j)
+    res = enhance_spectrogram(x, None, sched, EnhancementConfig(em_iters=2, batch=4))
+    assert np.array_equal(_SHARED_CHAIN, before)
+    assert np.array_equal(res.s_hat, _SHARED_CHAIN) and res.s_hat is not _SHARED_CHAIN
 
 
 def test_concurrent_callers_equal_serial_calls(sched):

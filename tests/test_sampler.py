@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,56 @@ def test_unconditional_sample_equals_reference_loop_bit_for_bit(shape, seed, n_s
     got = unconditional_sample(shape, net, SCHED, cfg, np.random.default_rng(seed))
     want = _reference_unconditional(shape, net, SCHED, n_steps, np.random.default_rng(seed))
     assert np.array_equal(got, want)
+
+
+class _ReferencePosteriorScore:
+    """The posterior score as first written, out of place."""
+
+    def __init__(self, model, x, v):
+        self.model, self.x, self.v = model, x, v
+
+    def evaluate(self, s, tau):
+        mom = sde.kernel_moments(tau, SCHED)
+        mv = mom.m * self.v
+        out = mv * self.model.evaluate(s, tau)
+        out += mom.delta * self.x
+        out -= s
+        out *= 1.0 / (mom.var + mv)
+        return out
+
+
+@pytest.mark.parametrize("shape", [(1,), (5, 7), (33, 20)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_posterior_sample_equals_reference_loop_bit_for_bit(shape, seed):
+    # the in-place steps and posterior score keep every rounding of the loop above
+    net = score.ToyScoreNet(hidden=(8, 8), seed=seed, sched=SCHED)
+    rng = np.random.default_rng(100 + seed)
+    x = sde.complex_randn(shape, rng)
+    v = rng.uniform(0.1, 3.0, shape)
+    got = posterior_sample(x, net, SCHED, SamplerConfig(n_steps=4), v, np.random.default_rng(seed))
+    want = _reference_unconditional(shape, _ReferencePosteriorScore(net, x, v), SCHED, 4,
+                                    np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_posterior_chain_working_set():
+    # a chain's steps update the arrays they own in place, so at most the
+    # state, one working grid and a noise draw (a grid and its two real
+    # halves) are alive at once: about 4 complex grids.  The out-of-place
+    # steps this guards against peaked at 5.02 grids here.
+    shape = (256, 64)
+    grid = np.empty(shape, dtype=np.complex128).nbytes
+    net = score.ToyScoreNet(hidden=(8,), seed=0, sched=SCHED)
+    x = sde.complex_randn(shape, np.random.default_rng(0))
+    cfg = SamplerConfig(n_steps=4)
+    posterior_sample(x, net, SCHED, cfg, 1.0, np.random.default_rng(1))  # warm-up
+    tracemalloc.start()
+    try:
+        posterior_sample(x, net, SCHED, cfg, 1.0, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * grid
 
 
 def test_unconditional_gaussian_moments():

@@ -542,6 +542,32 @@ def _train_fixture(dtype):
     return net, ds
 
 
+def _record_gradients(monkeypatch) -> list:
+    """The list that score.train's gradients are appended to, one per step."""
+    seen = []
+
+    def recording(model, batch):
+        loss, grad = dsm_loss_and_grad(model, batch)
+        seen.append(grad)
+        return loss, grad
+
+    monkeypatch.setattr(score, "dsm_loss_and_grad", recording)
+    return seen
+
+
+def _adam_replay(theta, grads, rates):
+    """Adam from theta over recorded gradients at per-step rates, with float64
+    moments and each step rounded to theta's dtype."""
+    b1, b2 = 0.9, 0.999
+    m, v = np.zeros(theta.shape), np.zeros(theta.shape)
+    for step, (g, lr) in enumerate(zip(grads, rates), 1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        theta = (theta - lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + 1e-8)
+                 ).astype(theta.dtype)
+    return theta
+
+
 def test_float64_net_trains_bit_identically_to_all_float64_pass(monkeypatch):
     cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=2, steps_per_epoch=100,
                       patch_frames=16, lr_decay="cosine", seed=0)
@@ -563,26 +589,25 @@ def test_train_keeps_parameter_dtypes_and_float64_adam_state(dtype, monkeypatch)
                       lr_decay="constant", seed=0)
     net, ds = _train_fixture(dtype)
     theta = net.theta.copy()
-    seen = []
-
-    def recording(model, batch):
-        loss, grad = dsm_loss_and_grad(model, batch)
-        seen.append(grad)
-        return loss, grad
-
-    monkeypatch.setattr(score, "dsm_loss_and_grad", recording)
+    seen = _record_gradients(monkeypatch)
     train(net, ds, cfg, SCHED)
     assert all(g.dtype == np.float64 for g in seen)
     assert net.theta.dtype == net.ema_theta.dtype == dtype
-    # Adam replayed from the recorded gradients with float64 moments
-    b1, b2 = 0.9, 0.999
-    m, v = np.zeros(theta.shape), np.zeros(theta.shape)
-    for step, g in enumerate(seen, 1):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g**2
-        theta = (theta - cfg.lr * (m / (1 - b1**step)) / (np.sqrt(v / (1 - b2**step)) + 1e-8)
-                 ).astype(dtype)
-    assert np.array_equal(theta, net.theta)
+    assert np.array_equal(_adam_replay(theta, seen, [cfg.lr] * len(seen)), net.theta)
+
+
+@pytest.mark.parametrize("rates", [(1.0,), (1.0, 0.5)], ids=["one_step", "two_steps"])
+def test_cosine_schedule_rates_start_at_lr(rates, monkeypatch):
+    # step k of n runs at lr * (1 + cos(pi (k - 1) / n)) / 2: the first at lr
+    # and none at 0, so even a one-step run moves the live weights
+    cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=1, steps_per_epoch=len(rates),
+                      patch_frames=16, lr_decay="cosine", seed=0)
+    net, ds = _train_fixture(np.float64)
+    theta = net.theta.copy()
+    seen = _record_gradients(monkeypatch)
+    train(net, ds, cfg, SCHED)
+    assert not np.array_equal(net.theta, theta)
+    assert np.array_equal(_adam_replay(theta, seen, [r * cfg.lr for r in rates]), net.theta)
 
 
 def test_gradient_pass_peak_memory_at_256_frame_patches():
